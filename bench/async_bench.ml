@@ -86,8 +86,9 @@ let run ~reps () =
         let t0 = Unix.gettimeofday () in
         let result =
           unwrap
-            (Hiperbot.Tuner.run_async ~telemetry ~options ~k:row.k ~rng:(Prng.Rng.create seed)
-               ~space ~objective ~budget ())
+            (Hiperbot.Tuner.run_with_policy ~telemetry ~options
+               ~mode:(Hiperbot.Campaign.Async row.k) ~rng:(Prng.Rng.create seed) ~space ~objective
+               ~budget ())
         in
         let host = (Unix.gettimeofday () -. t0) *. 1e3 in
         Telemetry.Trace.close telemetry;

@@ -177,6 +177,13 @@ let tab1 ~reps () =
 
 (* ---------- Figure 8: transfer learning ---------- *)
 
+(* Default tuner options with [source] as a gated transfer prior. *)
+let transfer_options ?(weight = 1.0) space source =
+  {
+    Hiperbot.Tuner.default_options with
+    prior = Some (Hiperbot.Transfer.prior space [ (source, weight) ]);
+  }
+
 let transfer_figure ~reps ~title ~src_name ~trgt_name =
   Harness.section title;
   let src = (Hpcsim.Registry.find src_name).Hpcsim.Registry.table () in
@@ -200,7 +207,8 @@ let transfer_figure ~reps ~title ~src_name ~trgt_name =
       ( "HiPerBOt",
         fun ~rng ~budget ->
           Baselines.Outcome.of_tuner_result
-            (Hiperbot.Transfer.run ~rng ~space ~source ~objective ~budget ()) );
+            (Hiperbot.Tuner.run ~options:(transfer_options space source) ~rng ~space ~objective
+               ~budget ()) );
     ]
   in
   Printf.printf "%-22s" "threshold (good cases)";
@@ -356,7 +364,9 @@ let ablation_transfer_weight ~reps () =
         Metrics.Runner.replicate ~reps ~base_seed:6000 (fun ~rng ->
             let r =
               if weight = 0. then Hiperbot.Tuner.run ~rng ~space ~objective ~budget ()
-              else Hiperbot.Transfer.run ~weight ~rng ~space ~source ~objective ~budget ()
+              else
+                Hiperbot.Tuner.run ~options:(transfer_options ~weight space source) ~rng ~space
+                  ~objective ~budget ()
             in
             Metrics.Recall.recall good r.Hiperbot.Tuner.history)
       in

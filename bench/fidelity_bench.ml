@@ -82,9 +82,8 @@ let budget_override =
 let assert_degenerate_identity ~space ~objective ~budget ~seed =
   let outcome_objective ~attempt:_ c = Resilience.Outcome.Value (objective c) in
   let flat =
-    Hiperbot.Tuner.run_async ~k:k_inflight
-      ~rng:(Prng.Rng.create seed)
-      ~space ~objective:outcome_objective ~budget ()
+    Hiperbot.Tuner.run_with_policy ~mode:(Hiperbot.Campaign.Async k_inflight)
+      ~rng:(Prng.Rng.create seed) ~space ~objective:outcome_objective ~budget ()
   in
   let plan =
     {

@@ -166,7 +166,6 @@ type large_row = {
   lp_reference_ns : float option;  (* None: PR 2 path skipped *)
   lp_incremental_ns : float;
   lp_parallel_ns : float option;  (* virtual-pool parallel scan, informational *)
-  lp_sampled_ns : float;
   lp_boxed_seq_ns : float option;  (* linear chunked scan over the materialized pool *)
   lp_boxed_par_ns : float option;
   lp_heap_bytes : int;  (* new path, Gc heap after the campaign *)
@@ -191,7 +190,6 @@ let large_pool_row ~reps n_params =
   let reps = if n >= 10_000_000 then Stdlib.min reps 2 else Stdlib.min reps 3 in
   let obs_steps = observation_steps ~space ~n_base:40 ~n_refits ~per_refit:2 in
   let evaluated = Param.Config.Table.create 1 in
-  let rng = Prng.Rng.create 1 in
   let options = Hiperbot.Surrogate.default_options in
   (* One full campaign sequence through the new path: fresh engine,
      one Refit.update + one streaming select per snapshot. *)
@@ -202,8 +200,8 @@ let large_pool_row ~reps n_params =
         let surrogate, compiled = Hiperbot.Surrogate.Refit.update engine obs in
         on_step step ~surrogate ~compiled;
         let sel =
-          Hiperbot.Strategy.select_many_encoded ?workers ~compiled ~k ~rng ~surrogate
-            ~encoded:virt ~evaluated ()
+          Hiperbot.Strategy.select_many_encoded ?workers ~compiled ~k ~surrogate ~encoded:virt
+            ~evaluated ()
         in
         (sel, Hiperbot.Surrogate.Refit.last_deltas engine))
       obs_steps
@@ -267,17 +265,6 @@ let large_pool_row ~reps n_params =
           in
           (Some ns, Some matches))
   in
-  (* Sampled-candidate mode: per-suggest cost is O(draws), independent
-     of the pool size — the escape hatch beyond exhaustive scans. *)
-  let sampled_ns =
-    let engine = Hiperbot.Surrogate.Refit.create ~options virt in
-    let surrogate, compiled =
-      Hiperbot.Surrogate.Refit.update engine obs_steps.(n_refits - 1)
-    in
-    time_ns ~reps (fun () ->
-        Hiperbot.Strategy.select_many_encoded ~candidates:(`Sampled 4096) ~compiled ~k
-          ~rng:(Prng.Rng.create 7) ~surrogate ~encoded:virt ~evaluated ())
-  in
   (* Memory of the new path, captured before the PR 2 pool is ever
      materialized: the virtual pool plus score tables must stay tiny
      however large the space is. *)
@@ -340,8 +327,8 @@ let large_pool_row ~reps n_params =
       let surrogate = Hiperbot.Surrogate.fit ~options space obs_steps.(n_refits - 1) in
       let compiled_boxed = Hiperbot.Surrogate.compile surrogate encoded in
       let boxed_select ?workers () =
-        Hiperbot.Strategy.select_many_encoded ?workers ~compiled:compiled_boxed ~k ~rng
-          ~surrogate ~encoded ~evaluated ()
+        Hiperbot.Strategy.select_many_encoded ?workers ~compiled:compiled_boxed ~k ~surrogate
+          ~encoded ~evaluated ()
       in
       let seq_selection = boxed_select () in
       let seq_ns = time_ns ~reps (fun () -> boxed_select ()) in
@@ -366,7 +353,6 @@ let large_pool_row ~reps n_params =
     lp_reference_ns = reference_ns;
     lp_incremental_ns = incremental_ns;
     lp_parallel_ns = parallel_ns;
-    lp_sampled_ns = sampled_ns;
     lp_boxed_seq_ns = boxed_seq_ns;
     lp_boxed_par_ns = boxed_par_ns;
     lp_heap_bytes = heap_bytes;
@@ -391,9 +377,8 @@ let print_large_row r =
     | None -> "-")
     (fmt_opt r.lp_parallel_ns);
   Printf.printf
-    "          sampled-4096 %12.0f ns/suggest  mem live %.1f MB (heap %.1f MB, tables %.1f \
-     KB, codes %.1f KB%s)\n"
-    r.lp_sampled_ns (mb r.lp_live_bytes) (mb r.lp_heap_bytes)
+    "          mem live %.1f MB (heap %.1f MB, tables %.1f KB, codes %.1f KB%s)\n"
+    (mb r.lp_live_bytes) (mb r.lp_heap_bytes)
     (float_of_int r.lp_table_bytes /. 1024.)
     (float_of_int r.lp_codes_bytes /. 1024.)
     (match r.lp_reference_heap_bytes with
@@ -569,7 +554,7 @@ let run ~reps () =
       Printf.bprintf buf
         "    { \"pool_size\": %d, \"n_params\": %d, \"virtual\": true, \
          \"reference_refit_ns\": %s, \"incremental_refit_ns\": %.1f, \"refit_speedup\": %s, \
-         \"parallel_refit_ns\": %s, \"sampled_suggest_ns\": %.1f, \"boxed_seq_select_ns\": \
+         \"parallel_refit_ns\": %s, \"boxed_seq_select_ns\": \
          %s, \"boxed_par_select_ns\": %s, \"heap_bytes\": %d, \"live_bytes\": %d, \
          \"table_bytes\": %d, \"codes_bytes\": %d, \"reference_heap_bytes\": %s, \"deltas\": \
          { \"unchanged\": %d, \"appended\": %d, \"rebuilt\": %d }, \"matches_reference\": \
@@ -577,7 +562,7 @@ let run ~reps () =
         r.lp_size r.lp_params (opt_f r.lp_reference_ns) r.lp_incremental_ns
         (opt_f
            (Option.map (fun ref_ns -> ref_ns /. r.lp_incremental_ns) r.lp_reference_ns))
-        (opt_f r.lp_parallel_ns) r.lp_sampled_ns (opt_f r.lp_boxed_seq_ns)
+        (opt_f r.lp_parallel_ns) (opt_f r.lp_boxed_seq_ns)
         (opt_f r.lp_boxed_par_ns) r.lp_heap_bytes r.lp_live_bytes r.lp_table_bytes
         r.lp_codes_bytes
         (opt_i r.lp_reference_heap_bytes)

@@ -105,11 +105,15 @@ let run ~reps () =
             Stats.Running.add best r.Hiperbot.Tuner.best_value;
             Stats.Running.add recall (Metrics.Recall.recall good r.Hiperbot.Tuner.history)
           in
-          Hiperbot.Transfer.run ~rng:(Prng.Rng.create seed) ~space ~source ~objective ~budget ()
+          let transfer gate =
+            let prior = Hiperbot.Transfer.prior ~gate space [ (source, 1.0) ] in
+            Hiperbot.Tuner.run
+              ~options:{ Hiperbot.Tuner.default_options with prior = Some prior }
+              ~rng:(Prng.Rng.create seed) ~space ~objective ~budget ()
+          in
+          transfer (Some Hiperbot.Gate.default_options)
           |> add row.transfer_best row.transfer_recall;
-          Hiperbot.Transfer.run ~gate:None ~rng:(Prng.Rng.create seed) ~space ~source ~objective
-            ~budget ()
-          |> add row.ungated_best row.ungated_recall;
+          transfer None |> add row.ungated_best row.ungated_recall;
           let copula =
             Baselines.Copula_transfer.run ~rng:(Prng.Rng.create seed) ~space ~source ~objective
               ~budget ()

@@ -206,15 +206,6 @@ let proposal_arg =
   let doc = "Use the Proposal selection strategy with $(docv) sampled candidates instead of exhaustive Ranking." in
   Arg.(value & opt (some int) None & info [ "proposal" ] ~docv:"K" ~doc)
 
-let sampled_arg =
-  let doc =
-    "Keep the Ranking strategy but rank only $(docv) candidates drawn from the good density per \
-     guided step instead of scanning the whole pool — O($(docv)) per suggestion regardless of \
-     the pool size. Deterministic from --seed, but not bit-identical to the exhaustive scan. \
-     Hiperbot method only; incompatible with --proposal."
-  in
-  Arg.(value & opt (some int) None & info [ "sampled-candidates" ] ~docv:"N" ~doc)
-
 let verbose_arg =
   let doc = "Print every evaluation, not just improvements." in
   Arg.(value & flag & info [ "verbose" ] ~doc)
@@ -304,7 +295,7 @@ let tune_cmd =
     in
     Arg.(value & opt_all string [] & info [ "transfer-from" ] ~docv:"FILE[:W]" ~doc)
   in
-  let run dataset seed budget method_ alpha n_init proposal sampled verbose trace_file
+  let run dataset seed budget method_ alpha n_init proposal verbose trace_file
       trace_summary save resume faults fault_seed retries timeout jobs async transfer_from
       transfer_weighting transfer_decay transfer_gate no_transfer_gate fidelity brackets eta =
     match find_table dataset with
@@ -333,12 +324,10 @@ let tune_cmd =
                       try
                         Ok
                           (Some
-                             (Hiperbot.Tuner.prior_of
-                                ~decay:(Hiperbot.Transfer.decay_of_schedule transfer_decay)
-                                ?gate
-                                (Hiperbot.Transfer.prior_of_sources
-                                   ~options:{ Hiperbot.Surrogate.default_options with alpha }
-                                   ~weighting:transfer_weighting space sources)))
+                             (Hiperbot.Transfer.prior
+                                ~options:{ Hiperbot.Surrogate.default_options with alpha }
+                                ~weighting:transfer_weighting ~schedule:transfer_decay ~gate space
+                                sources))
                       with Invalid_argument msg -> Error msg)))
         in
         if resilient && method_ <> `Hiperbot then
@@ -351,12 +340,6 @@ let tune_cmd =
         else if retries < 1 then `Error (false, "--retries must be at least 1")
         else if (match timeout with Some t -> t <= 0. | None -> false) then
           `Error (false, "--timeout must be positive")
-        else if (match sampled with Some n -> n < 1 | None -> false) then
-          `Error (false, "--sampled-candidates N must be at least 1")
-        else if sampled <> None && proposal <> None then
-          `Error (false, "--sampled-candidates is incompatible with --proposal")
-        else if sampled <> None && method_ <> `Hiperbot then
-          `Error (false, "--sampled-candidates is only supported with --method hiperbot")
         else if jobs < 1 then `Error (false, "--jobs must be at least 1")
         else if jobs > 1 && method_ <> `Hiperbot then
           `Error (false, "--jobs is only supported with --method hiperbot")
@@ -435,7 +418,7 @@ let tune_cmd =
                 result.Hiperbot.Tuner.n_attempts result.Hiperbot.Tuner.retry_cost;
             Baselines.Outcome.of_tuner_result result
           in
-          let hiperbot_options () =
+          let options =
             let strategy =
               match proposal with
               | Some k -> Hiperbot.Strategy.Proposal { n_candidates = k }
@@ -447,32 +430,12 @@ let tune_cmd =
               strategy;
               surrogate = { Hiperbot.Surrogate.default_options with alpha };
               prior = (match transfer_prior with Ok p -> p | Error _ -> None);
-              sampled_candidates = sampled;
             }
           in
-          if fidelity <> None then begin
-            (* Multi-fidelity path: successive-halving brackets over the
-               dataset's natural fidelity ladder, rung state persisted as
-               #fid / #rung run-log lines for bit-exact resume. *)
-            let r = Option.get fidelity in
-            let fid = Option.get fidelity_ladder in
-            let n_levels = Array.length fid.Hpcsim.Registry.levels in
-            let offset = n_levels - r in
-            let costs = Array.init r (fun i -> fid.Hpcsim.Registry.cost (offset + i)) in
-            let plan =
-              {
-                Hiperbot.Fidelity.costs;
-                eta = Option.value eta ~default:3.;
-                cohort = n_init;
-                brackets = Option.value brackets ~default:4;
-                low_weight = 0.25;
-                cost_budget = None;
-              }
-            in
-            let fid_objective ~rung config =
-              fid.Hpcsim.Registry.objective_at (offset + rung) config
-            in
-            let k = Option.value async ~default:1 in
+          (* The run log a --resume continues (checked against the
+             dataset; its seed wins over --seed) and the writer every
+             evaluation is appended through. *)
+          let open_log () =
             let existing_log =
               match save with
               | Some path when resume && Sys.file_exists path ->
@@ -482,8 +445,8 @@ let tune_cmd =
             match existing_log with
             | Some log
               when Param.Space.specs log.Dataset.Runlog.space <> Param.Space.specs space ->
-                `Error (false, "run log space does not match the dataset")
-            | _ -> begin
+                Error "run log space does not match the dataset"
+            | _ ->
                 let writer =
                   match (save, existing_log) with
                   | Some path, Some log -> Some (Dataset.Runlog.writer_resume ~path log)
@@ -493,17 +456,73 @@ let tune_cmd =
                            ~space)
                   | None, _ -> None
                 in
+                Option.iter
+                  (fun log ->
+                    if log.Dataset.Runlog.seed <> seed then
+                      Printf.printf "resuming with the log's seed %d (ignoring --seed %d)\n"
+                        log.Dataset.Runlog.seed seed;
+                    Printf.printf "resuming after %d recorded evaluations\n"
+                      (Array.length log.Dataset.Runlog.entries))
+                  existing_log;
+                Ok (existing_log, writer)
+          in
+          let print_best (outcome : Baselines.Outcome.t) =
+            Printf.printf "best after %d evaluations: %.4g\n"
+              (Array.length outcome.Baselines.Outcome.history)
+              outcome.Baselines.Outcome.best_value;
+            Printf.printf "  %s\n" (Param.Space.to_string space outcome.Baselines.Outcome.best_config);
+            Printf.printf "exhaustive best: %.4g\n" (Dataset.Table.best_value table);
+            (match save with
+            | Some path -> Printf.printf "run log written to %s\n" path
+            | None -> ());
+            `Ok ()
+          in
+          match open_log () with
+          | Error e -> `Error (false, e)
+          | Ok (existing_log, writer) ->
+              let record i config status attempts =
+                match writer with
+                | Some w ->
+                    Dataset.Runlog.writer_record w
+                      { Dataset.Runlog.index = i; config; status; attempts }
+                | None -> ()
+              in
+              (* Gate decisions join the run log as #gate lines, so an
+                 interrupted gated campaign resumes with its trust
+                 verdicts verified against the record. *)
+              let on_gate g =
+                match writer with Some w -> Dataset.Runlog.writer_record_gate w g | None -> ()
+              in
+              let close_run () =
+                (match writer with Some w -> Dataset.Runlog.writer_close w | None -> ());
+                finish_trace ()
+              in
+              if fidelity <> None then begin
+                (* Multi-fidelity path: successive-halving brackets over
+                   the dataset's natural fidelity ladder, rung state
+                   persisted as #fid / #rung run-log lines for bit-exact
+                   resume. *)
+                let r = Option.get fidelity in
+                let fid = Option.get fidelity_ladder in
+                let n_levels = Array.length fid.Hpcsim.Registry.levels in
+                let offset = n_levels - r in
+                let costs = Array.init r (fun i -> fid.Hpcsim.Registry.cost (offset + i)) in
+                let plan =
+                  {
+                    Hiperbot.Fidelity.costs;
+                    eta = Option.value eta ~default:3.;
+                    cohort = n_init;
+                    brackets = Option.value brackets ~default:4;
+                    low_weight = 0.25;
+                    cost_budget = None;
+                  }
+                in
+                let fid_objective ~rung config =
+                  fid.Hpcsim.Registry.objective_at (offset + rung) config
+                in
+                let k = Option.value async ~default:1 in
                 let on_eval i config y =
-                  (match writer with
-                  | Some w ->
-                      Dataset.Runlog.writer_record w
-                        {
-                          Dataset.Runlog.index = i;
-                          config;
-                          status = Dataset.Runlog.Ok y;
-                          attempts = 1;
-                        }
-                  | None -> ());
+                  record i config (Dataset.Runlog.Ok y) 1;
                   print_evaluation i config y
                 in
                 let on_fid (f : Dataset.Runlog.fid) =
@@ -524,24 +543,17 @@ let tune_cmd =
                     rg.Dataset.Runlog.r_evaluated rg.Dataset.Runlog.r_promoted
                     rg.Dataset.Runlog.r_best
                 in
-                let options = hiperbot_options () in
                 let fid_result =
                   with_jobs jobs (fun pool ->
                       match existing_log with
                       | Some log ->
-                          if log.Dataset.Runlog.seed <> seed then
-                            Printf.printf "resuming with the log's seed %d (ignoring --seed %d)\n"
-                              log.Dataset.Runlog.seed seed;
-                          Printf.printf "resuming after %d recorded evaluations\n"
-                            (Array.length log.Dataset.Runlog.entries);
                           Hiperbot.Fidelity.resume ~telemetry ~options ~on_eval ~on_fid ~on_rung
                             ?pool ~plan ~k ~log ~objective:fid_objective ~budget ()
                       | None ->
                           Hiperbot.Fidelity.run ~telemetry ~options ~on_eval ~on_fid ~on_rung
                             ?pool ~plan ~k ~rng ~space ~objective:fid_objective ~budget ())
                 in
-                (match writer with Some w -> Dataset.Runlog.writer_close w | None -> ());
-                finish_trace ();
+                close_run ();
                 match fid_result with
                 | Stdlib.Error err ->
                     `Error
@@ -561,68 +573,30 @@ let tune_cmd =
                       "fidelity: %d brackets, %s evaluations per rung, total cost %.4g \
                        full-fidelity-equivalents\n"
                       fres.Hiperbot.Fidelity.n_brackets rungs fres.Hiperbot.Fidelity.total_cost;
-                    Printf.printf "best after %d evaluations: %.4g\n"
-                      (Array.length outcome.Baselines.Outcome.history)
-                      outcome.Baselines.Outcome.best_value;
-                    Printf.printf "  %s\n"
-                      (Param.Space.to_string space outcome.Baselines.Outcome.best_config);
-                    Printf.printf "exhaustive best: %.4g\n" (Dataset.Table.best_value table);
-                    (match save with
-                    | Some path -> Printf.printf "run log written to %s\n" path
-                    | None -> ());
-                    `Ok ()
+                    print_best outcome
               end
-          end
-          else if resilient then begin
-            (* Resilient path: outcome-taxonomy objective, retry policy,
-               flush-per-entry v2 run log, optional resume. *)
-            let policy =
-              { Resilience.Policy.default with max_attempts = retries; timeout }
-            in
-            let fault_spec =
-              if faults > 0. then
-                Some
-                  (Hpcsim.Faults.standard
-                     ~seed:(Option.value fault_seed ~default:(seed + 7919))
-                     ~rate:faults)
-              else None
-            in
-            let outcome_objective ~attempt c =
-              match fault_spec with
-              | Some fs -> Hpcsim.Faults.inject fs objective ~attempt c
-              | None -> Resilience.Outcome.Value (objective c)
-            in
-            let existing_log =
-              match save with
-              | Some path when resume && Sys.file_exists path ->
-                  Some (Dataset.Runlog.load ~recover:true path)
-              | _ -> None
-            in
-            (match existing_log with
-            | Some log
-              when Param.Space.specs log.Dataset.Runlog.space <> Param.Space.specs space ->
-                `Error (false, "run log space does not match the dataset")
-            | _ -> begin
-                let writer =
-                  match (save, existing_log) with
-                  | Some path, Some log -> Some (Dataset.Runlog.writer_resume ~path log)
-                  | Some path, None ->
-                      Some
-                        (Dataset.Runlog.writer_create ~path ~name:("tune:" ^ dataset) ~seed
-                           ~space)
-                  | None, _ -> None
+              else if resilient then begin
+                (* Resilient path: outcome-taxonomy objective, retry
+                   policy, flush-per-entry v2 run log, optional resume,
+                   sync or async engine. *)
+                let policy = { Resilience.Policy.default with max_attempts = retries; timeout } in
+                let fault_spec =
+                  if faults > 0. then
+                    Some
+                      (Hpcsim.Faults.standard
+                         ~seed:(Option.value fault_seed ~default:(seed + 7919))
+                         ~rate:faults)
+                  else None
+                in
+                let objective ~attempt c =
+                  match fault_spec with
+                  | Some fs -> Hpcsim.Faults.inject fs objective ~attempt c
+                  | None -> Resilience.Outcome.Value (objective c)
                 in
                 let on_outcome i config (v : Resilience.Evaluator.verdict) =
-                  (match writer with
-                  | Some w ->
-                      Dataset.Runlog.writer_record w
-                        {
-                          Dataset.Runlog.index = i;
-                          config;
-                          status = status_of_outcome v.Resilience.Evaluator.outcome;
-                          attempts = v.Resilience.Evaluator.attempts;
-                        }
-                  | None -> ());
+                  record i config
+                    (status_of_outcome v.Resilience.Evaluator.outcome)
+                    v.Resilience.Evaluator.attempts;
                   match v.Resilience.Evaluator.outcome with
                   | Resilience.Outcome.Value y -> print_evaluation i config y
                   | failure ->
@@ -631,45 +605,22 @@ let tune_cmd =
                           (Resilience.Outcome.kind failure)
                           (Param.Space.to_string space config)
                 in
-                let options = hiperbot_options () in
-                (* Gate decisions join the run log as #gate lines, so
-                   an interrupted gated campaign resumes with its
-                   trust verdicts verified against the record. *)
-                let on_gate g =
-                  match writer with
-                  | Some w -> Dataset.Runlog.writer_record_gate w g
-                  | None -> ()
+                let mode =
+                  match async with
+                  | Some k -> Hiperbot.Campaign.Async k
+                  | None -> Hiperbot.Campaign.Sync
                 in
                 let tuner_result =
                   with_jobs jobs (fun pool ->
                       match existing_log with
-                      | Some log -> begin
-                          if log.Dataset.Runlog.seed <> seed then
-                            Printf.printf "resuming with the log's seed %d (ignoring --seed %d)\n"
-                              log.Dataset.Runlog.seed seed;
-                          Printf.printf "resuming after %d recorded evaluations\n"
-                            (Array.length log.Dataset.Runlog.entries);
-                          match async with
-                          | Some k ->
-                              Hiperbot.Tuner.resume_async ~telemetry ~options ~policy ~on_outcome
-                                ~on_gate ?pool ~k ~log ~objective:outcome_objective ~budget ()
-                          | None ->
-                              Hiperbot.Tuner.resume ~telemetry ~options ~policy ~on_outcome
-                                ~on_gate ?pool ~log ~objective:outcome_objective ~budget ()
-                        end
-                      | None -> (
-                          match async with
-                          | Some k ->
-                              Hiperbot.Tuner.run_async ~telemetry ~options ~policy ~on_outcome
-                                ~on_gate ?pool ~k ~rng ~space ~objective:outcome_objective ~budget
-                                ()
-                          | None ->
-                              Hiperbot.Tuner.run_with_policy ~telemetry ~options ~policy
-                                ~on_outcome ~on_gate ?pool ~rng ~space
-                                ~objective:outcome_objective ~budget ()))
+                      | Some log ->
+                          Hiperbot.Tuner.resume ~telemetry ~options ~mode ~policy ~on_outcome
+                            ~on_gate ?pool ~log ~objective ~budget ()
+                      | None ->
+                          Hiperbot.Tuner.run_with_policy ~telemetry ~options ~mode ~policy
+                            ~on_outcome ~on_gate ?pool ~rng ~space ~objective ~budget ())
                 in
-                (match writer with Some w -> Dataset.Runlog.writer_close w | None -> ());
-                finish_trace ();
+                close_run ();
                 match tuner_result with
                 | Stdlib.Error err ->
                     `Error
@@ -679,70 +630,28 @@ let tune_cmd =
                            configuration"
                           (Array.length err.Hiperbot.Tuner.error_failures)
                           err.Hiperbot.Tuner.error_attempts )
-                | Stdlib.Ok result ->
-                    let outcome = print_tuner_result result in
-                    Printf.printf "best after %d evaluations: %.4g\n"
-                      (Array.length outcome.Baselines.Outcome.history)
-                      outcome.Baselines.Outcome.best_value;
-                    Printf.printf "  %s\n"
-                      (Param.Space.to_string space outcome.Baselines.Outcome.best_config);
-                    Printf.printf "exhaustive best: %.4g\n" (Dataset.Table.best_value table);
-                    (match save with
-                    | Some path -> Printf.printf "run log written to %s\n" path
-                    | None -> ());
-                    `Ok ()
-              end)
-          end
-          else begin
-            let writer =
-              Option.map
-                (fun path ->
-                  Dataset.Runlog.writer_create ~path ~name:("tune:" ^ dataset) ~seed ~space)
-                save
-            in
-            let on_evaluation i config y =
-              (match writer with
-              | Some w ->
-                  Dataset.Runlog.writer_record w
-                    {
-                      Dataset.Runlog.index = i;
-                      config;
-                      status = Dataset.Runlog.Ok y;
-                      attempts = 1;
-                    }
-              | None -> ());
-              print_evaluation i config y
-            in
-            let outcome =
-              match method_ with
-              | `Random -> Baselines.Random_search.run ~rng ~space ~objective ~budget ()
-              | `Geist -> Baselines.Geist.run ~rng ~space ~objective ~budget ()
-              | `Gp -> Baselines.Gp_tuner.run ~rng ~space ~objective ~budget ()
-              | `Gbt -> Baselines.Gbt_tuner.run ~rng ~space ~objective ~budget ()
-              | `Hiperbot ->
-                  let options = hiperbot_options () in
-                  let on_gate g =
-                    match writer with
-                    | Some w -> Dataset.Runlog.writer_record_gate w g
-                    | None -> ()
-                  in
-                  print_tuner_result
-                    (with_jobs jobs (fun pool ->
-                         Hiperbot.Tuner.run ~telemetry ~options ~on_evaluation ~on_gate ?pool ~rng
-                           ~space ~objective ~budget ()))
-            in
-            (match writer with Some w -> Dataset.Runlog.writer_close w | None -> ());
-            finish_trace ();
-            Printf.printf "best after %d evaluations: %.4g\n"
-              (Array.length outcome.Baselines.Outcome.history)
-              outcome.Baselines.Outcome.best_value;
-            Printf.printf "  %s\n" (Param.Space.to_string space outcome.Baselines.Outcome.best_config);
-            Printf.printf "exhaustive best: %.4g\n" (Dataset.Table.best_value table);
-            (match save with
-            | Some path -> Printf.printf "run log written to %s\n" path
-            | None -> ());
-            `Ok ()
-          end
+                | Stdlib.Ok result -> print_best (print_tuner_result result)
+              end
+              else begin
+                let on_evaluation i config y =
+                  record i config (Dataset.Runlog.Ok y) 1;
+                  print_evaluation i config y
+                in
+                let outcome =
+                  match method_ with
+                  | `Random -> Baselines.Random_search.run ~rng ~space ~objective ~budget ()
+                  | `Geist -> Baselines.Geist.run ~rng ~space ~objective ~budget ()
+                  | `Gp -> Baselines.Gp_tuner.run ~rng ~space ~objective ~budget ()
+                  | `Gbt -> Baselines.Gbt_tuner.run ~rng ~space ~objective ~budget ()
+                  | `Hiperbot ->
+                      print_tuner_result
+                        (with_jobs jobs (fun pool ->
+                             Hiperbot.Tuner.run ~telemetry ~options ~on_evaluation ~on_gate ?pool
+                               ~rng ~space ~objective ~budget ()))
+                in
+                close_run ();
+                print_best outcome
+              end
         end
   in
   Cmd.v
@@ -750,7 +659,7 @@ let tune_cmd =
     Term.(
       ret
         (const run $ dataset_arg $ seed_arg $ budget_arg 150 $ method_arg $ alpha_arg $ n_init_arg
-       $ proposal_arg $ sampled_arg $ verbose_arg $ trace_file_arg $ trace_summary_arg $ save_arg
+       $ proposal_arg $ verbose_arg $ trace_file_arg $ trace_summary_arg $ save_arg
        $ resume_arg $ faults_arg $ fault_seed_arg $ retries_arg $ timeout_arg $ jobs_arg
        $ async_arg $ transfer_from_arg $ weighting_arg $ decay_arg $ gate_thresh_arg
        $ no_gate_arg $ fidelity_arg $ brackets_arg $ eta_arg))
@@ -825,9 +734,19 @@ let transfer_cmd =
                 names.(g.Dataset.Runlog.g_source)
                 g.Dataset.Runlog.g_refit g.Dataset.Runlog.g_trust
           in
+          let options =
+            let d = Hiperbot.Tuner.default_options in
+            {
+              d with
+              prior =
+                Some
+                  (Hiperbot.Transfer.prior ~options:d.surrogate ~weighting ~schedule:decay ~gate
+                     space source_obs);
+            }
+          in
           let result =
-            Hiperbot.Transfer.run_multi ~gate ~on_gate ~weighting ~schedule:decay ~rng ~space
-              ~sources:source_obs ~objective:(Dataset.Table.objective_fn trgt) ~budget ()
+            Hiperbot.Tuner.run ~options ~on_gate ~rng ~space
+              ~objective:(Dataset.Table.objective_fn trgt) ~budget ()
           in
           Printf.printf "best after %d evaluations: %.4g\n"
             (Array.length result.Hiperbot.Tuner.history)

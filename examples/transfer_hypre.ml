@@ -36,11 +36,18 @@ let () =
         Printf.printf "  [gate] refit %d: source %d %s (trust %.3f)\n" g.Dataset.Runlog.g_refit
           g.Dataset.Runlog.g_source action g.Dataset.Runlog.g_trust
   in
+  (* Transfer only changes the prior the tuner fits with. *)
+  let with_prior gate =
+    let prior = Hiperbot.Transfer.prior ~gate space [ (source, 1.0) ] in
+    { Hiperbot.Tuner.default_options with prior = Some prior }
+  in
   let gated =
-    Hiperbot.Transfer.run ~on_gate ~rng:(Prng.Rng.create 3) ~space ~source ~objective ~budget ()
+    Hiperbot.Tuner.run ~options:(with_prior (Some Hiperbot.Gate.default_options)) ~on_gate
+      ~rng:(Prng.Rng.create 3) ~space ~objective ~budget ()
   in
   let ungated =
-    Hiperbot.Transfer.run ~gate:None ~rng:(Prng.Rng.create 3) ~space ~source ~objective ~budget ()
+    Hiperbot.Tuner.run ~options:(with_prior None) ~rng:(Prng.Rng.create 3) ~space ~objective
+      ~budget ()
   in
   let no_prior = Hiperbot.Tuner.run ~rng:(Prng.Rng.create 3) ~space ~objective ~budget () in
 

@@ -1,5 +1,5 @@
-(* The reentrant campaign state machine. The synchronous and
-   asynchronous engines in [Tuner] are thin drivers over this module,
+(* The reentrant campaign state machine. The [Tuner] driver (both
+   modes), [Fidelity] and [Serve] are thin layers over this module,
    so bit-compatibility with the historical recursive loops is
    structural: there is exactly one implementation of init draws,
    gated refits, selection, replay verification, and bookkeeping, and
@@ -28,7 +28,6 @@ type options = {
   prior : prior option;
   batch_size : int;
   early_stop : int option;
-  sampled_candidates : int option;
 }
 
 let default_options =
@@ -39,7 +38,6 @@ let default_options =
     prior = None;
     batch_size = 1;
     early_stop = None;
-    sampled_candidates = None;
   }
 
 type result = {
@@ -193,14 +191,6 @@ let campaign_setup ~options ~candidates ~shared_pool ~space ~budget =
   (match options.early_stop with
   | Some k when k < 1 -> invalid_arg "Tuner.run: early_stop must be at least 1"
   | Some _ | None -> ());
-  (match options.sampled_candidates with
-  | Some n when n < 1 -> invalid_arg "Tuner.run: sampled_candidates must be at least 1"
-  | Some _ ->
-      (match options.strategy with
-      | Strategy.Ranking -> ()
-      | Strategy.Proposal _ ->
-          invalid_arg "Tuner.run: sampled_candidates requires the Ranking strategy")
-  | None -> ());
   (match shared_pool with
   | None -> ()
   | Some p ->
@@ -282,19 +272,14 @@ let pool_coverage_check ~encoded ~table =
               end
 
 (* Guided selection: Ranking campaigns always rank over the encoded
-   pool, reusing the refit engine's compiled scorer, with
-   [options.sampled_candidates] switching the exhaustive scan to
-   pg-sampled candidate draws; Proposal samples from pg and never
-   looks at a pool. *)
+   pool, reusing the refit engine's compiled scorer; Proposal samples
+   from pg and never looks at a pool. *)
 let select_batch ~telemetry ~options ?workers ?schedule ~encoded ~compiled ~k ~rng ~surrogate
     ~evaluated () =
   match (options.strategy, encoded) with
   | Strategy.Ranking, Some e ->
-      let candidates =
-        match options.sampled_candidates with Some n -> `Sampled n | None -> `Exhaustive
-      in
-      Strategy.select_many_encoded ~telemetry ?workers ?schedule ~candidates ?compiled ~k ~rng
-        ~surrogate ~encoded:e ~evaluated ()
+      Strategy.select_many_encoded ~telemetry ?workers ?schedule ?compiled ~k ~surrogate
+        ~encoded:e ~evaluated ()
   | Strategy.Ranking, None -> assert false (* campaign_setup always encodes for Ranking *)
   | (Strategy.Proposal _ as strategy), _ ->
       Strategy.select_many ~telemetry strategy ~k ~rng ~surrogate ~pool:[||] ~evaluated
@@ -399,7 +384,7 @@ let create ?(telemetry = Telemetry.Trace.disabled) ?(options = default_options)
     ?(replay = [||]) ?pool:workers ?schedule ~mode ~rng ~space ~budget () =
   let campaign_t0 = Telemetry.Trace.now telemetry in
   (match mode with
-  | Async k when k < 1 -> invalid_arg "Tuner.run_async: k must be at least 1"
+  | Async k when k < 1 -> invalid_arg "Campaign.create: Async k must be at least 1"
   | Async _ | Sync -> ());
   (* The step API holds its inputs across turns, so copy every caller
      array: with the one-shot [run] loops these were consumed within

@@ -1,10 +1,10 @@
 (** The campaign state machine: one tuning run as an explicit,
     reentrant suggest/report step process.
 
-    Every engine in the library — the synchronous core behind
-    {!Tuner.run}/[run_with_policy], the asynchronous k-in-flight
-    engine behind {!Tuner.run_async}, and the multi-tenant
-    {!Serve} front end — is a {e driver} over this module: a thin
+    Every engine in the library — the blocking {!Tuner} entry points
+    (one driver loop for both [Sync] and [Async k]), the
+    multi-fidelity scheduler, and the multi-tenant {!Serve} front
+    end — is a {e driver} over this module: a thin
     loop that asks the campaign what to evaluate next ({!suggest}),
     obtains a verdict however it likes (inline call, worker domain,
     remote client), and hands it back ({!report}). Neither step ever
@@ -15,9 +15,9 @@
 
     The machine is bit-identical to the recursive engines it
     replaced: driving it with the same rng seed, options, and
-    verdicts reproduces [Tuner.run_with_policy] and
-    [Tuner.run_async] histories exactly (property-tested in
-    [test/test_campaign.ml]). The replay/resume contract carries
+    verdicts reproduces [Tuner.run_with_policy] histories in both
+    modes exactly (property-tested in [test/test_campaign.ml]). The
+    replay/resume contract carries
     over unchanged: a campaign created from a run log retraces the
     recorded prefix bit-for-bit and then continues live.
 
@@ -50,7 +50,6 @@ type options = {
   prior : prior option;
   batch_size : int;
   early_stop : int option;
-  sampled_candidates : int option;
 }
 
 val default_options : options

@@ -73,7 +73,7 @@ let max_seed_redraws = 50
 
 (* A single-rung plan is a flat full-fidelity campaign: delegate to
    the async engine wholesale so the degenerate bracket is
-   bit-identical to [Tuner.run_async] at the same [k] — same rng
+   bit-identical to [Tuner.run_with_policy ~mode:(Async k)] — same rng
    stream, same submissions, same completion schedule. *)
 let run_flat ~telemetry ~options ?candidates ?on_eval ?workers ?schedule ~replay ~k ~rng ~space
     ~objective ~budget () =
@@ -98,8 +98,8 @@ let run_flat ~telemetry ~options ?candidates ?on_eval ?workers ?schedule ~replay
       on_eval
   in
   match
-    Tuner.run_async ~telemetry ~options ?candidates ?on_outcome ~replay:replay_verdicts
-      ?pool:workers ?schedule ~k ~rng ~space ~objective:obj ~budget ()
+    Tuner.run_with_policy ~telemetry ~options ~mode:(Campaign.Async k) ?candidates ?on_outcome
+      ~replay:replay_verdicts ?pool:workers ?schedule ~rng ~space ~objective:obj ~budget ()
   with
   | Stdlib.Error e -> Stdlib.Error e
   | Stdlib.Ok run ->
@@ -280,13 +280,8 @@ let run ?(telemetry = Telemetry.Trace.disabled) ?(options = Tuner.default_option
             Surrogate.fit ~telemetry ~options:options.Tuner.surrogate ~priors space full_obs
           in
           final_surrogate := Some surrogate;
-          let cand =
-            match options.Tuner.sampled_candidates with
-            | Some n -> `Sampled n
-            | None -> `Exhaustive
-          in
-          Strategy.select_many_encoded ~telemetry ?workers ?schedule ~candidates:cand
-            ~k:plan.cohort ~rng ~surrogate ~encoded ~evaluated:seen ()
+          Strategy.select_many_encoded ~telemetry ?workers ?schedule ~k:plan.cohort ~surrogate
+            ~encoded ~evaluated:seen ()
         end
       in
       let enqueue c =

@@ -98,7 +98,7 @@ val run :
     finite value. [budget] caps total submissions across all rungs.
 
     {b Degenerate plan.} A single-rung plan delegates directly to
-    {!Tuner.run_async} at the same [k] — same options, same rng
+    {!Tuner.run_with_policy} at [~mode:(Async k)] — same options, same rng
     stream, same submission and completion schedule — so a flat
     fidelity campaign is bit-identical to the async engine's
     ([eta], [cohort], [brackets], and [low_weight] are unused; the

@@ -22,8 +22,13 @@ type session = {
 type t = {
   dir : string option;
   options : Campaign.options;
-  lock : Mutex.t;  (* guards [sessions] and [pools]; never held during campaign work *)
+  lock : Mutex.t;
+      (* guards [sessions], [opening] and [pools]; never held during campaign work *)
   sessions : (string, session) Hashtbl.t;
+  opening : (string, unit) Hashtbl.t;
+      (* names reserved by an [open] still building its session: a
+         concurrent [open] of the same name is refused before it can
+         touch the name's run log *)
   pools : (string, Surrogate.Pool.t) Hashtbl.t;
 }
 
@@ -36,6 +41,7 @@ let create ?dir ?(options = Campaign.default_options) () =
     options;
     lock = Mutex.create ();
     sessions = Hashtbl.create 16;
+    opening = Hashtbl.create 4;
     pools = Hashtbl.create 4;
   }
 
@@ -154,23 +160,9 @@ let find_session t name =
   | Some s -> s
   | None -> failwith (Printf.sprintf "Serve: unknown session %S" name)
 
-let open_session t name args =
-  if not (valid_session_name name) then
-    failwith
-      (Printf.sprintf "Serve: invalid session name %S (use letters, digits, '_', '-', '.')"
-         name);
-  (match with_lock t.lock (fun () -> Hashtbl.find_opt t.sessions name) with
-  | Some _ -> failwith (Printf.sprintf "Serve: session %S is already open" name)
-  | None -> ());
-  let seed = require_int_arg ~cmd:"open" "seed" args in
-  let budget = require_int_arg ~cmd:"open" "budget" args in
-  let k = Option.value (int_arg ~cmd:"open" "k" args) ~default:1 in
-  let space =
-    match List.assoc_opt "space" args with
-    | Some s -> space_of_wire s
-    | None -> failwith "Serve: open requires space=<spec;spec;...>"
-  in
-  let options = session_options t.options ~cmd:"open" args in
+(* The campaign behind a fresh or recovered session, with its run-log
+   writer. The caller holds the name's reservation. *)
+let build_session t name ~options ~seed ~budget ~k ~space =
   let shared_pool = shared_pool_for t space in
   let path = Option.map (fun d -> Filename.concat d (name ^ ".runlog")) t.dir in
   let recovered =
@@ -218,24 +210,51 @@ let open_session t name args =
         | None -> ());
         c
   in
-  let session =
-    {
-      s_name = name;
-      s_lock = Mutex.create ();
-      s_campaign = campaign;
-      s_writer = !writer;
-      s_specs = Param.Space.specs space;
-      s_undelivered = Campaign.pending campaign;
-      s_closed = false;
-    }
-  in
+  {
+    s_name = name;
+    s_lock = Mutex.create ();
+    s_campaign = campaign;
+    s_writer = !writer;
+    s_specs = Param.Space.specs space;
+    s_undelivered = Campaign.pending campaign;
+    s_closed = false;
+  }
+
+let open_session t name args =
+  if not (valid_session_name name) then
+    failwith
+      (Printf.sprintf "Serve: invalid session name %S (use letters, digits, '_', '-', '.')"
+         name);
+  (* Reserve the name before anything can touch its run log; the
+     reservation becomes the session on success and is released on
+     any failure. *)
   with_lock t.lock (fun () ->
-      if Hashtbl.mem t.sessions name then
-        failwith (Printf.sprintf "Serve: session %S is already open" name)
-      else Hashtbl.add t.sessions name session);
-  Printf.sprintf "ok open %s evaluated=%d pending=%d" name
-    (Campaign.n_evaluated campaign)
-    (Campaign.n_pending campaign)
+      if Hashtbl.mem t.sessions name || Hashtbl.mem t.opening name then
+        failwith (Printf.sprintf "Serve: session %S is already open" name);
+      Hashtbl.replace t.opening name ());
+  let build () =
+    let seed = require_int_arg ~cmd:"open" "seed" args in
+    let budget = require_int_arg ~cmd:"open" "budget" args in
+    let k = Option.value (int_arg ~cmd:"open" "k" args) ~default:1 in
+    let space =
+      match List.assoc_opt "space" args with
+      | Some s -> space_of_wire s
+      | None -> failwith "Serve: open requires space=<spec;spec;...>"
+    in
+    let options = session_options t.options ~cmd:"open" args in
+    build_session t name ~options ~seed ~budget ~k ~space
+  in
+  match build () with
+  | session ->
+      with_lock t.lock (fun () ->
+          Hashtbl.remove t.opening name;
+          Hashtbl.add t.sessions name session);
+      Printf.sprintf "ok open %s evaluated=%d pending=%d" name
+        (Campaign.n_evaluated session.s_campaign)
+        (Campaign.n_pending session.s_campaign)
+  | exception e ->
+      with_lock t.lock (fun () -> Hashtbl.remove t.opening name);
+      raise e
 
 let with_session t name f =
   let s = find_session t name in

@@ -85,7 +85,6 @@ val select :
   ?workers:Parallel.Pool.t ->
   ?schedule:Parallel.Pool.schedule ->
   ?parallel_threshold:int ->
-  ?candidates:[ `Exhaustive | `Sampled of int ] ->
   ?encoded:Surrogate.Pool.t ->
   t ->
   rng:Prng.Rng.t ->
@@ -106,7 +105,6 @@ val select_many :
   ?workers:Parallel.Pool.t ->
   ?schedule:Parallel.Pool.schedule ->
   ?parallel_threshold:int ->
-  ?candidates:[ `Exhaustive | `Sampled of int ] ->
   ?encoded:Surrogate.Pool.t ->
   t ->
   k:int ->
@@ -131,16 +129,8 @@ val select_many :
     always scan sequentially. [encoded] supplies the index-encoded
     pool (built once per campaign with {!Surrogate.Pool.encode}); it
     must wrap the same [pool] array, otherwise [Invalid_argument] is
-    raised. When absent the pool is encoded on the fly.
-    [candidates] defaults to [`Exhaustive] (scan the whole pool);
-    [`Sampled n] instead draws exactly [n] candidates from the good
-    density pg through [rng] and ranks the distinct unevaluated draws
-    with the naive scorer — per-suggest cost O(n), independent of the
-    pool size. The rng consumption depends only on the surrogate and
-    [n], so sampled runs replay bit-identically from the seed; unlike
-    exhaustive mode the batch may come back short (or empty) when the
-    draws collapse onto evaluated configurations, and the Rank span
-    records schedule ["sampled"] with [pool_size = n].
+    raised. When absent the pool is encoded on the fly. [rng] is
+    consumed by [Proposal] only; ranking is deterministic.
 
     [telemetry] receives a [Compile] span (table build) and a [Rank]
     span (the scoring scan, with worker count and schedule label) per
@@ -152,10 +142,8 @@ val select_many_encoded :
   ?workers:Parallel.Pool.t ->
   ?schedule:Parallel.Pool.schedule ->
   ?parallel_threshold:int ->
-  ?candidates:[ `Exhaustive | `Sampled of int ] ->
   ?compiled:Surrogate.Compiled.t ->
   k:int ->
-  rng:Prng.Rng.t ->
   surrogate:Surrogate.t ->
   encoded:Surrogate.Pool.t ->
   evaluated:unit Param.Config.Table.t ->

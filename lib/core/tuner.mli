@@ -7,26 +7,28 @@
        evaluation budget is exhausted or the early-stop criterion
        fires.
 
+    Three entry points drive that loop over the reentrant {!Campaign}
+    state machine: {!run} for a total objective, {!run_with_policy}
+    for objectives that can fail (and for the asynchronous engine,
+    [~mode:(Async k)]), and {!resume} to continue a campaign from its
+    run log. The configuration and result types are re-exported from
+    {!Campaign}, so the two APIs interoperate freely.
+
     The [prior] option turns the same loop into the transfer-learning
     variant (§III-E): surrogates fitted on source-domain data are
     mixed into every refit, each with its own weight, optionally
-    annealed by a decay schedule as target evidence accumulates (see
-    {!Transfer} for the high-level engine). [batch_size] amortizes one
-    refit over several evaluations (e.g. to run several configurations
-    in parallel on a cluster); [early_stop] implements the paper's
-    sample-quality termination condition.
+    annealed by a decay schedule as target evidence accumulates
+    ({!Transfer.prior} builds one from source observations).
+    [batch_size] amortizes one refit over several evaluations;
+    [early_stop] implements the paper's sample-quality termination
+    condition.
 
-    The resilient entry points ({!run_resilient}, {!run_with_policy},
-    {!resume}) absorb evaluation failures into the surrogate's bad
-    density instead of dying on them: every failed configuration is
+    Failed evaluations are absorbed into the surrogate's bad density
+    instead of ending the run: every failed configuration is
     classified by the {!Resilience.Outcome} taxonomy, retried
     according to a {!Resilience.Policy} (transients and timeouts only
     — permanent failures are never retried), and counted against the
     budget exactly once regardless of how many attempts it took. *)
-
-(** Every entry point here is a thin driver over the reentrant
-    {!Campaign} state machine — the configuration and result types
-    are re-exported from it, so the two APIs interoperate freely. *)
 
 type prior = Campaign.prior = {
   sources : (Surrogate.t * float) array;
@@ -59,32 +61,22 @@ type options = Campaign.options = {
   surrogate : Surrogate.options;
   strategy : Strategy.t;
   prior : prior option;  (** transfer prior sources and decay schedule *)
-  batch_size : int;  (** evaluations per surrogate refit (default 1) *)
+  batch_size : int;  (** evaluations per surrogate refit (default 1; ignored under [Async]) *)
   early_stop : int option;
       (** stop after this many consecutive guided evaluations without
           improving the best observed objective (default [None]:
           run the full budget) *)
-  sampled_candidates : int option;
-      (** [Some n]: instead of exhaustively ranking the whole pool,
-          each guided step draws exactly [n] candidates from the good
-          density pg through the campaign rng and ranks the distinct
-          unevaluated draws — per-suggest cost O(n) independent of the
-          pool size (see {!Strategy.select_many}'s [`Sampled]).
-          Deterministic and resumable like the exhaustive path, but
-          {e not} bit-identical to it (it consumes rng draws and may
-          propose a different batch). Requires the [Ranking] strategy.
-          Default [None]: exhaustive. *)
 }
 
 val default_options : options
 (** n_init 20, surrogate defaults (alpha 0.2), [Ranking], no prior,
-    batch 1, no early stop, exhaustive ranking. *)
+    batch 1, no early stop. *)
 
 type result = Campaign.result = {
   history : (Param.Config.t * float) array;
-      (** every successful evaluation performed by this run, in order
-          (initial samples first; warm-start observations are
-          excluded) *)
+      (** every successful evaluation performed by this run, in
+          completion order (initial samples first under [Sync];
+          warm-start observations are excluded) *)
   best_config : Param.Config.t;
   best_value : float;
   trajectory : float array;
@@ -96,8 +88,7 @@ type result = Campaign.result = {
   stopped_early : bool;  (** the [early_stop] criterion ended the run *)
   failures : (Param.Config.t * Resilience.Outcome.t) array;
       (** configurations whose evaluation failed, with the final
-          outcome after retries (only populated by the resilient
-          entry points) *)
+          outcome after retries *)
   n_attempts : int;
       (** total objective attempts including retries; equals
           [Array.length history + Array.length failures] when nothing
@@ -132,7 +123,9 @@ val run :
     evaluations of [objective] (warm-start observations do not count
     against the budget; duplicate random initial draws are evaluated
     once). Requires [budget >= 1]. [on_evaluation i config value] is
-    called after each evaluation with its 0-based index.
+    called after each evaluation with its 0-based index. The
+    objective is called inline, once per configuration, with no retry
+    policy (so a trace carries no [Attempt] events).
 
     [pool] parallelizes candidate ranking across a domain pool (with
     an optional [schedule]); because ties break on the candidate's
@@ -159,7 +152,12 @@ val run :
     the per-parameter tables that changed — the selections stay
     bit-identical to the full-rebuild path.
 
-    [telemetry] (here and on every other entry point) streams the
+    [on_gate] fires once per transfer-gate decision (a source
+    attenuated, restored, or dropped; the pooled-prior fallback) in
+    the shape {!Dataset.Runlog.gate} expects, so run-log writers can
+    persist the decisions as they happen.
+
+    [telemetry] (here and on the other entry points) streams the
     campaign's structured events — [Campaign_start], one [Init_draw]
     per random draw, [Refit]/[Compile]/[Rank] spans per iteration,
     one [Eval] per consumed budget unit, and a final [Campaign_end] —
@@ -169,34 +167,10 @@ val run :
     default is {!Telemetry.Trace.disabled}, which costs one pointer
     comparison per site. *)
 
-val run_resilient :
-  ?telemetry:Telemetry.Trace.t ->
-  ?options:options ->
-  ?warm_start:(Param.Config.t * float) array ->
-  ?candidates:Param.Config.t array ->
-  ?on_evaluation:(int -> Param.Config.t -> float -> unit) ->
-  ?on_failure:(int -> Param.Config.t -> unit) ->
-  ?on_gate:(Dataset.Runlog.gate -> unit) ->
-  ?pool:Parallel.Pool.t ->
-  ?schedule:Parallel.Pool.schedule ->
-  rng:Prng.Rng.t ->
-  space:Param.Space.t ->
-  objective:(Param.Config.t -> float option) ->
-  budget:int ->
-  unit ->
-  (result, run_error) Stdlib.result
-(** Like {!run} for objectives that can fail — builds that crash,
-    invalid parameter combinations, timed-out runs. A [None] from the
-    objective consumes budget, is never retried (it is classified
-    [Permanent]), and joins the bad density of every later surrogate
-    fit, steering selection away from the failing region. Failed
-    configurations appear in [failures], not [history]. When every
-    evaluation failed the run returns [Error] with the structured
-    failure report instead of raising. *)
-
 val run_with_policy :
   ?telemetry:Telemetry.Trace.t ->
   ?options:options ->
+  ?mode:Campaign.mode ->
   ?policy:Resilience.Policy.t ->
   ?warm_start:(Param.Config.t * float) array ->
   ?candidates:Param.Config.t array ->
@@ -206,43 +180,74 @@ val run_with_policy :
   ?replay:(Param.Config.t * Resilience.Evaluator.verdict) array ->
   ?pool:Parallel.Pool.t ->
   ?schedule:Parallel.Pool.schedule ->
+  ?duration:(Param.Config.t -> Resilience.Evaluator.verdict -> float) ->
   rng:Prng.Rng.t ->
   space:Param.Space.t ->
   objective:(attempt:int -> Param.Config.t -> Resilience.Outcome.t) ->
   budget:int ->
   unit ->
   (result, run_error) Stdlib.result
-(** The full resilient evaluation layer: each selected configuration
-    is driven through {!Resilience.Evaluator.evaluate} under [policy]
-    (default {!Resilience.Policy.default} — 3 attempts, exponential
-    simulated backoff, no timeout). The final verdict consumes one
-    unit of budget whatever its attempt count, so retried transients
-    do not double-count. A batch member whose verdict is [Timeout]
-    (a straggler exceeding the policy's cost budget) is recorded as a
-    failure and the batch completes. [on_outcome i config verdict]
-    fires once per consumed budget unit with the final verdict.
-    With [telemetry] enabled, every retry-loop attempt additionally
-    emits an [Attempt] event (wired through the evaluator's generic
-    probe, keeping the resilience layer dependency-free).
+(** {!run} for objectives that can fail — builds that crash, invalid
+    parameter combinations, timed-out runs. Each selected
+    configuration is driven through {!Resilience.Evaluator.evaluate}
+    under [policy] (default {!Resilience.Policy.default} — 3
+    attempts, exponential simulated backoff, no timeout). The final
+    verdict consumes one unit of budget whatever its attempt count,
+    and failed configurations join the bad density of every later
+    surrogate fit, steering selection away from the failing region;
+    they appear in [failures], not [history]. A batch member whose
+    verdict is [Timeout] (a straggler exceeding the policy's cost
+    budget) is recorded as a failure and the batch completes.
+    [on_outcome i config verdict] fires once per consumed budget unit
+    with the final verdict. With [telemetry] enabled, every retry
+    attempt additionally emits an [Attempt] event. When every
+    evaluation failed the run returns [Error] with the structured
+    failure report instead of raising. An [option]-valued objective
+    plugs in through {!Resilience.Outcome.of_option} ([None] is
+    [Permanent], never retried).
 
-    [replay] is the resume mechanism: the first [Array.length replay]
-    evaluations take their verdicts from the array instead of calling
-    [objective] (and do not fire [on_outcome]); the tuner still
-    performs the same rng draws and selection, so the run continues
-    exactly where the recorded one stopped. Raises [Failure] if a
-    replayed configuration does not match the recorded one.
+    {b Modes.} [mode] (default [Sync]) picks the engine. [Sync] has
+    one suggestion outstanding at a time and evaluates it inline on
+    the calling domain — even when [pool] is given, which then only
+    parallelizes ranking. [Async k] keeps up to [k] evaluations in
+    flight and refits whenever a slot frees, instead of waiting for a
+    batch barrier ([options.batch_size] is ignored). In-flight
+    configurations join the surrogate's bad density as constant
+    liars, and the submission-time dedup table excludes exact
+    duplicates. Completion order is decided by a simulated clock,
+    never by wall time: a submission completes at its submission time
+    plus [duration config verdict], which must be finite and
+    non-negative (ties break toward the earlier submission; [duration]
+    is only consulted under [Async]). The default duration is the
+    measured objective value when it is finite and positive (an HPC
+    runtime objective is its own natural duration), 1.0 otherwise,
+    plus the verdict's accumulated retry backoff cost. With
+    [pool] the [Async] evaluations execute concurrently on worker
+    domains ([objective] must then be thread-safe), but the same
+    seed and duration function give a bit-identical campaign for
+    every worker count — and [Async 1] retraces [Sync] (with the
+    default batch size) exactly. Under [Async], [history],
+    [trajectory], [on_outcome] indices, and run-log entries written
+    from [on_outcome] are in completion order, and [telemetry]
+    carries one [Submit] and one [Complete] event per slot
+    ([Campaign_start] records [k] in its [batch_size] field).
 
-    [on_gate] fires once per transfer-gate decision (a source
-    attenuated, restored, or dropped; the pooled-prior fallback) in
-    the shape {!Dataset.Runlog.gate} expects, so run-log writers can
-    persist the decisions as they happen. [recorded_gates] is the
-    resume-side counterpart: the recomputed decision stream is
-    verified against this prefix (raising [Failure] on divergence)
-    without re-firing [on_gate] for decisions the log already holds. *)
+    {b Replay.} [replay] is the resume mechanism (see {!resume}):
+    recorded verdicts stand in for the first [Array.length replay]
+    evaluations (without calling [objective] or firing
+    [on_outcome]); the tuner performs the same rng draws and
+    selection, so the run continues exactly where the recorded one
+    stopped. A configuration that departs from the record raises
+    [Failure] — under [Sync] before the objective is called.
+    [recorded_gates] is the gate-decision counterpart: the recomputed
+    decision stream is verified against this prefix ([Failure] on
+    divergence) without re-firing [on_gate] for decisions the log
+    already holds. *)
 
 val resume :
   ?telemetry:Telemetry.Trace.t ->
   ?options:options ->
+  ?mode:Campaign.mode ->
   ?policy:Resilience.Policy.t ->
   ?warm_start:(Param.Config.t * float) array ->
   ?candidates:Param.Config.t array ->
@@ -250,6 +255,7 @@ val resume :
   ?on_gate:(Dataset.Runlog.gate -> unit) ->
   ?pool:Parallel.Pool.t ->
   ?schedule:Parallel.Pool.schedule ->
+  ?duration:(Param.Config.t -> Resilience.Evaluator.verdict -> float) ->
   log:Dataset.Runlog.t ->
   objective:(attempt:int -> Param.Config.t -> Resilience.Outcome.t) ->
   budget:int ->
@@ -257,108 +263,18 @@ val resume :
   (result, run_error) Stdlib.result
 (** [resume ~log ~objective ~budget ()] reconstructs an interrupted
     campaign from its run log and continues it up to [budget] total
-    evaluations. The rng is rebuilt from [log.seed] and the recorded
-    entries are replayed (see [replay] above), so given the same
-    [options], [policy], and objective, an interrupted-then-resumed
-    campaign produces bit-for-bit the same evaluation sequence,
-    trajectory, and best configuration as an uninterrupted run —
-    the resume guarantee the tests assert. Raises [Invalid_argument]
-    if the log already holds more than [budget] entries and [Failure]
-    if the log's entries are not dense from index 0 or diverge from
-    the replayed trajectory.
+    evaluations: {!run_with_policy} with the rng rebuilt from
+    [log.seed], the space from the log header, and the recorded
+    entries as [replay]. Given the same [mode], [options], [policy],
+    [duration] and objective, an interrupted-then-resumed campaign
+    produces bit-for-bit the same evaluation sequence, trajectory,
+    and best configuration as an uninterrupted run. Raises
+    [Invalid_argument] if the log already holds more than [budget]
+    entries and [Failure] if the log's entries are not dense from
+    index 0 or diverge from the replayed trajectory.
 
     Gated campaigns resume bit-exactly too: the gate state is not
     stored — it is a pure function of the refit sequence, which replay
     reproduces — and the log's recorded [#gate] decisions are verified
     as a prefix of the recomputed stream ([Failure] on mismatch), with
     [on_gate] firing only for decisions beyond the recorded prefix. *)
-
-val default_duration : Param.Config.t -> Resilience.Evaluator.verdict -> float
-(** The simulated duration {!run_async} assigns a completed verdict
-    when no [duration] function is supplied: the measured objective
-    value when it is finite and positive (an HPC runtime objective is
-    its own natural duration), 1.0 otherwise, plus the verdict's
-    accumulated retry backoff cost. *)
-
-val run_async :
-  ?telemetry:Telemetry.Trace.t ->
-  ?options:options ->
-  ?policy:Resilience.Policy.t ->
-  ?warm_start:(Param.Config.t * float) array ->
-  ?candidates:Param.Config.t array ->
-  ?on_outcome:(int -> Param.Config.t -> Resilience.Evaluator.verdict -> unit) ->
-  ?on_gate:(Dataset.Runlog.gate -> unit) ->
-  ?recorded_gates:Dataset.Runlog.gate array ->
-  ?replay:(Param.Config.t * Resilience.Evaluator.verdict) array ->
-  ?pool:Parallel.Pool.t ->
-  ?schedule:Parallel.Pool.schedule ->
-  ?duration:(Param.Config.t -> Resilience.Evaluator.verdict -> float) ->
-  k:int ->
-  rng:Prng.Rng.t ->
-  space:Param.Space.t ->
-  objective:(attempt:int -> Param.Config.t -> Resilience.Outcome.t) ->
-  budget:int ->
-  unit ->
-  (result, run_error) Stdlib.result
-(** The asynchronous campaign engine: up to [k] evaluations are in
-    flight at once and the surrogate refits whenever a slot frees,
-    instead of waiting for a batch barrier ([options.batch_size] is
-    ignored — refit-on-completion replaces batching).
-
-    {b Submission.} Slots are kept full: random-init draws while they
-    last (same rng stream as the synchronous engine, duplicates burn
-    an init slot without submitting), then one refit + top-1 selection
-    per submission. In-flight configurations are penalized with a
-    constant-liar/bad-density treatment — they join the surrogate's
-    bad density exactly like failed configurations — so the ranker
-    steers away from near-duplicates of pending points, and the
-    submission-time dedup table excludes exact duplicates outright.
-    Each evaluation runs through {!Resilience.Evaluator.evaluate}
-    under [policy] inside its slot (retries stay within the slot and
-    the final verdict consumes one budget unit). Total submissions
-    never exceed [budget] regardless of [k].
-
-    {b Determinism.} Completion order is decided by a simulated
-    clock, never by wall time: a submission completes at its
-    submission time plus [duration config verdict] (default
-    {!default_duration}; must be finite and non-negative — ties break
-    toward the earlier submission). With [pool] the evaluations
-    actually execute concurrently on worker domains, but since the
-    processing order is simulation-driven, the same seed and the same
-    duration function give a bit-identical history, trajectory, and
-    best configuration for every worker count — and [~k:1] degrades
-    exactly to {!run_with_policy} (with the default batch size), the
-    equivalence the property tests assert. When [pool] is given,
-    [objective] must be thread-safe.
-
-    [history], [trajectory], [on_outcome] indices, and run-log entries
-    written from [on_outcome] are all in completion order. [telemetry]
-    additionally carries one [Submit] and one [Complete] event per
-    slot with the in-flight depth and simulated time ([Campaign_start]
-    records [k] in its [batch_size] field). [replay] is the resume
-    mechanism (see {!resume_async}); replayed verdicts are matched
-    against the recorded completion order and raise [Failure] on
-    divergence. *)
-
-val resume_async :
-  ?telemetry:Telemetry.Trace.t ->
-  ?options:options ->
-  ?policy:Resilience.Policy.t ->
-  ?warm_start:(Param.Config.t * float) array ->
-  ?candidates:Param.Config.t array ->
-  ?on_outcome:(int -> Param.Config.t -> Resilience.Evaluator.verdict -> unit) ->
-  ?on_gate:(Dataset.Runlog.gate -> unit) ->
-  ?pool:Parallel.Pool.t ->
-  ?schedule:Parallel.Pool.schedule ->
-  ?duration:(Param.Config.t -> Resilience.Evaluator.verdict -> float) ->
-  k:int ->
-  log:Dataset.Runlog.t ->
-  objective:(attempt:int -> Param.Config.t -> Resilience.Outcome.t) ->
-  budget:int ->
-  unit ->
-  (result, run_error) Stdlib.result
-(** {!resume} for asynchronous campaigns: rebuilds the rng from
-    [log.seed] and replays the recorded verdicts in their recorded
-    completion order. The interrupted and resumed runs agree
-    bit-for-bit only if [k], [options], [policy], and the [duration]
-    function are the same as in the recorded run. *)

@@ -568,11 +568,21 @@ let writer_create ~path ~name ~seed ~space =
 let writer_resume ~path t =
   (* Rewrite the (recovered) log from scratch: this truncates any
      partial final line left by a crash and upgrades v1 files to v2,
-     so subsequent appends always extend a well-formed file. *)
+     so subsequent appends always extend a well-formed file. The
+     rewrite goes to a sibling file renamed over [path] once flushed,
+     so a crash mid-rewrite leaves the recovered log untouched; the
+     open channel follows the rename and carries the appends. *)
   let specs = Param.Space.specs t.space in
-  let oc = open_out path in
-  output_string oc (to_string t);
-  flush oc;
+  let tmp = path ^ ".tmp" in
+  let oc = open_out tmp in
+  (try
+     output_string oc (to_string t);
+     flush oc;
+     Sys.rename tmp path
+   with e ->
+     close_out_noerr oc;
+     (try Sys.remove tmp with Sys_error _ -> ());
+     raise e);
   { w_oc = oc; w_path = path; w_specs = specs; w_closed = false }
 
 let writer_record w entry =

@@ -131,9 +131,10 @@ val create :
 type recorder
 
 val recorder : name:string -> seed:int -> space:Param.Space.t -> recorder
-(** An in-memory recorder whose callbacks plug into
-    {!Hiperbot.Tuner.run}/[run_resilient]'s [on_evaluation] and
-    [on_failure]. For crash-safe persistence prefer the {!writer}
+(** An in-memory recorder whose callbacks plug into the tuner's
+    [on_evaluation] ({!Hiperbot.Tuner.run}) or [on_outcome]
+    ({!Hiperbot.Tuner.run_with_policy}, via {!record_failure} for
+    failed verdicts). For crash-safe persistence prefer the {!writer}
     API. *)
 
 val record_evaluation : recorder -> int -> Param.Config.t -> float -> unit
@@ -226,7 +227,9 @@ val writer_create : path:string -> name:string -> seed:int -> space:Param.Space.
 val writer_resume : path:string -> t -> writer
 (** Rewrite [path] with the entries of [t] (dropping any truncated
     tail, upgrading v1 files to v2) and return a writer positioned to
-    append the resumed campaign's new entries. *)
+    append the resumed campaign's new entries. The rewrite is written
+    and flushed to [path ^ ".tmp"] and renamed over [path], so a
+    failure or crash before the rename leaves [path] byte-identical. *)
 
 val writer_record : writer -> entry -> unit
 (** Append one entry and flush. Raises [Invalid_argument] on a closed

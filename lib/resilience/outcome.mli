@@ -36,4 +36,5 @@ val describe : t -> string
 val of_option : float option -> t
 (** Adapter for legacy [float option] objectives: [None] becomes a
     [Permanent] failure (the historical semantics of
-    {!Hiperbot.Tuner.run_resilient} — never retried). *)
+    feeding such an objective to {!Hiperbot.Tuner.run_with_policy} —
+    never retried). *)

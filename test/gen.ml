@@ -53,6 +53,17 @@ let results_identical (a : Hiperbot.Tuner.result) (b : Hiperbot.Tuner.result) =
   && a.Hiperbot.Tuner.n_attempts = b.Hiperbot.Tuner.n_attempts
   && Float.equal a.Hiperbot.Tuner.retry_cost b.Hiperbot.Tuner.retry_cost
 
+(* [options] with a transfer prior over [sources]; the source fits
+   share the campaign's surrogate options. *)
+let with_transfer ?weighting ?schedule ?gate options space sources =
+  {
+    options with
+    Hiperbot.Tuner.prior =
+      Some
+        (Hiperbot.Transfer.prior ~options:options.Hiperbot.Tuner.surrogate ?weighting ?schedule
+           ?gate space sources);
+  }
+
 (* ---- printers (what a failing property reports) ---- *)
 
 let spec_to_string spec =

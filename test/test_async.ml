@@ -84,7 +84,8 @@ let prop_k1_bit_identical =
           ~rng:(Prng.Rng.create seed) ~space ~objective ~budget ()
       in
       let asynchronous =
-        Hiperbot.Tuner.run_async ~options ~policy:Gen.policy3 ~k:1
+        Hiperbot.Tuner.run_with_policy ~options ~policy:Gen.policy3
+          ~mode:(Hiperbot.Campaign.Async 1)
           ~rng:(Prng.Rng.create seed) ~space ~objective ~budget ()
       in
       run_outcomes_identical sync asynchronous)
@@ -133,7 +134,8 @@ let prop_permutation_equal =
       in
       QCheck2.assume no_guided_step;
       let asynchronous =
-        Hiperbot.Tuner.run_async ~options ~policy:Gen.policy3 ~duration ~k
+        Hiperbot.Tuner.run_with_policy ~options ~policy:Gen.policy3 ~duration
+          ~mode:(Hiperbot.Campaign.Async k)
           ~rng:(Prng.Rng.create seed) ~space ~objective ~budget ()
       in
       completion_multiset space sync = completion_multiset space asynchronous)
@@ -156,7 +158,8 @@ let prop_budget_never_exceeded =
       let objective = Hpcsim.Faults.inject faults Gen.hash_objective in
       let options = { Hiperbot.Tuner.default_options with n_init } in
       let outcome =
-        Hiperbot.Tuner.run_async ~options ~policy:Gen.policy3 ~k
+        Hiperbot.Tuner.run_with_policy ~options ~policy:Gen.policy3
+          ~mode:(Hiperbot.Campaign.Async k)
           ~rng:(Prng.Rng.create seed) ~space ~objective ~budget ()
       in
       let n = completion_count outcome in
@@ -196,7 +199,8 @@ let check_dataset_k1 ~dataset ~seed =
       ~space ~objective ~budget ()
   in
   let asynchronous =
-    Hiperbot.Tuner.run_async ~options ~policy:Gen.policy3 ~k:1 ~rng:(Prng.Rng.create seed)
+    Hiperbot.Tuner.run_with_policy ~options ~policy:Gen.policy3 ~mode:(Hiperbot.Campaign.Async 1)
+      ~rng:(Prng.Rng.create seed)
       ~space ~objective ~budget ()
   in
   check Alcotest.bool
@@ -206,7 +210,8 @@ let check_dataset_k1 ~dataset ~seed =
   List.iter
     (fun k ->
       let run ?pool () =
-        Hiperbot.Tuner.run_async ?pool ~options ~policy:Gen.policy3 ~k
+        Hiperbot.Tuner.run_with_policy ?pool ~options ~policy:Gen.policy3
+          ~mode:(Hiperbot.Campaign.Async k)
           ~rng:(Prng.Rng.create seed) ~space ~objective ~budget ()
       in
       let sequential = run () in
@@ -238,7 +243,7 @@ let test_async_resume_determinism () =
   let recorded = ref [] in
   let full =
     match
-      Hiperbot.Tuner.run_async ~options ~policy:Gen.policy3 ~k
+      Hiperbot.Tuner.run_with_policy ~options ~policy:Gen.policy3 ~mode:(Hiperbot.Campaign.Async k)
         ~on_outcome:(fun i c v -> recorded := (i, c, v) :: !recorded)
         ~rng:(Prng.Rng.create seed) ~space ~objective ~budget ()
     with
@@ -260,7 +265,8 @@ let test_async_resume_determinism () =
   let log = Dataset.Runlog.create ~name:"kripke" ~seed ~space entries in
   let resumed =
     match
-      Hiperbot.Tuner.resume_async ~options ~policy:Gen.policy3 ~k ~log ~objective ~budget ()
+      Hiperbot.Tuner.resume ~options ~policy:Gen.policy3 ~mode:(Hiperbot.Campaign.Async k) ~log
+        ~objective ~budget ()
     with
     | Stdlib.Ok r -> r
     | Stdlib.Error _ -> Alcotest.fail "resumed async campaign failed outright"
@@ -270,7 +276,8 @@ let test_async_resume_determinism () =
   (* Resuming with a different k must be detected, not absorbed: the
      recorded completion order cannot match. *)
   match
-    Hiperbot.Tuner.resume_async ~options ~policy:Gen.policy3 ~k:1 ~log ~objective ~budget ()
+    Hiperbot.Tuner.resume ~options ~policy:Gen.policy3 ~mode:(Hiperbot.Campaign.Async 1) ~log
+      ~objective ~budget ()
   with
   | _ -> Alcotest.fail "resume with a different k must be rejected"
   | exception Failure _ -> ()
@@ -286,7 +293,8 @@ let test_async_trace_structure () =
   let sink, collected = Telemetry.Trace.memory_sink () in
   let telemetry = Telemetry.Trace.make [ sink ] in
   (match
-     Hiperbot.Tuner.run_async ~telemetry ~options ~k ~rng:(Prng.Rng.create 11) ~space
+     Hiperbot.Tuner.run_with_policy ~telemetry ~options ~mode:(Hiperbot.Campaign.Async k)
+       ~rng:(Prng.Rng.create 11) ~space
        ~objective ~budget ()
    with
   | Stdlib.Ok _ -> ()
@@ -345,7 +353,8 @@ let test_async_early_stop () =
         { Hiperbot.Tuner.default_options with n_init = 3; early_stop = Some 4 }
       in
       match
-        Hiperbot.Tuner.run_async ~options ~k ~rng:(Prng.Rng.create 2) ~space ~objective
+        Hiperbot.Tuner.run_with_policy ~options ~mode:(Hiperbot.Campaign.Async k)
+          ~rng:(Prng.Rng.create 2) ~space ~objective
           ~budget:50 ()
       with
       | Stdlib.Ok r ->

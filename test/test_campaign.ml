@@ -45,8 +45,8 @@ let drive_sync campaign eval =
 
 (* Asynchronous: keep the in-flight set full and complete suggestions
    in simulated-clock order (earliest completion first, ties to the
-   lower submission id) — the same discipline [Tuner.run_async]
-   implements, rebuilt from scratch on the step API. *)
+   lower submission id) — the same discipline [Tuner.run_with_policy]
+   implements under [Async k], rebuilt from scratch on the step API. *)
 let drive_async campaign ~eval ~duration =
   let in_flight = ref [] and sim_time = ref 0. in
   let fill at =
@@ -86,7 +86,8 @@ let drive_async campaign ~eval ~duration =
   done;
   Hiperbot.Campaign.result campaign
 
-(* ---- property: step-driven Sync machine = run_with_policy ---- *)
+(* ---- property: step-driven Sync machine = run_with_policy, through
+   batched refits and early stop ---- *)
 
 let campaign_gen =
   let open QCheck2.Gen in
@@ -94,19 +95,23 @@ let campaign_gen =
   let* faults = Gen.fault_spec_gen in
   let* seed = Gen.seed_gen in
   let* n_init = int_range 1 6 in
+  let* batch_size = int_range 1 4 in
+  let* early_stop = opt (int_range 1 4) in
   let+ budget = int_range 1 16 in
-  (space, faults, seed, n_init, budget)
+  (space, faults, seed, n_init, batch_size, early_stop, budget)
 
-let print_campaign (space, faults, seed, n_init, budget) =
-  Printf.sprintf "%s %s seed=%d n_init=%d budget=%d" (Gen.space_to_string space)
-    (Gen.fault_spec_to_string faults) seed n_init budget
+let print_campaign (space, faults, seed, n_init, batch_size, early_stop, budget) =
+  Printf.sprintf "%s %s seed=%d n_init=%d batch=%d early_stop=%s budget=%d"
+    (Gen.space_to_string space) (Gen.fault_spec_to_string faults) seed n_init batch_size
+    (match early_stop with Some e -> string_of_int e | None -> "none")
+    budget
 
 let prop_sync_conformance =
   QCheck2.Test.make ~name:"campaign: step driver = run_with_policy bit-for-bit" ~count:60
     ~print:print_campaign campaign_gen
-    (fun (space, faults, seed, n_init, budget) ->
+    (fun (space, faults, seed, n_init, batch_size, early_stop, budget) ->
       let objective = Hpcsim.Faults.inject faults Gen.hash_objective in
-      let options = { Hiperbot.Tuner.default_options with n_init } in
+      let options = { Hiperbot.Tuner.default_options with n_init; batch_size; early_stop } in
       let engine =
         Hiperbot.Tuner.run_with_policy ~options ~policy:policy3 ~rng:(Prng.Rng.create seed)
           ~space ~objective ~budget ()
@@ -120,8 +125,8 @@ let prop_sync_conformance =
       in
       run_outcomes_identical engine stepped)
 
-(* ---- property: step-driven Async machine = run_async, k in {1,4},
-   under scrambled completion orders ---- *)
+(* ---- property: step-driven Async machine = run_with_policy under
+   [Async k], k in {1,4}, under scrambled completion orders ---- *)
 
 let async_gen =
   let open QCheck2.Gen in
@@ -152,8 +157,8 @@ let prop_async_conformance k =
       let options = { Hiperbot.Tuner.default_options with n_init } in
       let duration = salted_duration dur_salt in
       let engine =
-        Hiperbot.Tuner.run_async ~options ~policy:policy3 ~duration ~k
-          ~rng:(Prng.Rng.create seed) ~space ~objective ~budget ()
+        Hiperbot.Tuner.run_with_policy ~options ~mode:(Hiperbot.Campaign.Async k)
+          ~policy:policy3 ~duration ~rng:(Prng.Rng.create seed) ~space ~objective ~budget ()
       in
       let campaign =
         Hiperbot.Campaign.create ~options ~mode:(Hiperbot.Campaign.Async k)

@@ -247,7 +247,14 @@ let test_parallel_campaign_matches_sequential () =
    it (replay of the recorded verdicts, still on the parallel path):
    the resumed run must retrace the uninterrupted one bit-for-bit. *)
 let test_parallel_resume_replays_bit_for_bit () =
-  let objective ~attempt:_ c = Resilience.Outcome.Value (objective3 c) in
+  (* The pool only ranks: a [Sync] campaign evaluates on the calling
+     domain. *)
+  let caller = Domain.self () in
+  let off_caller = Atomic.make 0 in
+  let objective ~attempt:_ c =
+    if Domain.self () <> caller then Atomic.incr off_caller;
+    Resilience.Outcome.Value (objective3 c)
+  in
   Parallel.Pool.with_pool ~num_domains:3 (fun workers ->
       let recorded = ref [] in
       let on_outcome _i c v = recorded := (c, v) :: !recorded in
@@ -257,6 +264,7 @@ let test_parallel_resume_replays_bit_for_bit () =
       in
       let verdicts = Array.of_list (List.rev !recorded) in
       check Alcotest.int "captured every evaluation" 15 (Array.length verdicts);
+      check Alcotest.int "every evaluation ran on the calling domain" 0 (Atomic.get off_caller);
       let cut = 7 in
       let resumed =
         Hiperbot.Tuner.run_with_policy ~options:tuner_options
@@ -366,8 +374,7 @@ let prop_incremental_refit_matches_full =
            through the from-scratch scorer, tie order included. *)
         let select surrogate compiled =
           let evaluated = Param.Config.Table.create 1 in
-          Hiperbot.Strategy.select_many_encoded ~compiled ~k:3 ~rng:(Prng.Rng.create 1)
-            ~surrogate ~encoded ~evaluated ()
+          Hiperbot.Strategy.select_many_encoded ~compiled ~k:3 ~surrogate ~encoded ~evaluated ()
         in
         if not (same_configs (select s_ref c_ref) (select s_inc c_inc)) then ok := false
       done;
@@ -402,55 +409,14 @@ let test_virtual_pool_matches_materialized () =
     pool;
   let evaluated = Param.Config.Table.create 8 in
   Array.iteri (fun i c -> if i mod 7 = 0 then Param.Config.Table.replace evaluated c ()) pool;
-  let rng = Prng.Rng.create 2 in
-  let sel p = Hiperbot.Strategy.select_many_encoded ~k:5 ~rng ~surrogate ~encoded:p ~evaluated () in
+  let sel p = Hiperbot.Strategy.select_many_encoded ~k:5 ~surrogate ~encoded:p ~evaluated () in
   check Alcotest.bool "virtual selection = materialized selection" true
     (same_configs (sel enc) (sel virt));
   Parallel.Pool.with_pool ~num_domains:3 (fun workers ->
       check Alcotest.bool "parallel virtual selection = sequential" true
         (same_configs (sel enc)
-           (Hiperbot.Strategy.select_many_encoded ~workers ~parallel_threshold:0 ~k:5 ~rng
-              ~surrogate ~encoded:virt ~evaluated ())))
-
-(* ---- sampled-candidate mode ---- *)
-
-let test_sampled_mode_deterministic () =
-  let surrogate = Hiperbot.Surrogate.fit space3 obs3 in
-  let enc = Hiperbot.Surrogate.Pool.of_space space3 in
-  let pool = Param.Space.enumerate space3 in
-  let evaluated = Param.Config.Table.create 4 in
-  Array.iteri (fun i c -> if i mod 4 = 0 then Param.Config.Table.replace evaluated c ()) pool;
-  let select rng ev =
-    Hiperbot.Strategy.select_many_encoded ~candidates:(`Sampled 60) ~k:5 ~rng ~surrogate
-      ~encoded:enc ~evaluated:ev ()
-  in
-  let rng1 = Prng.Rng.create 9 and rng2 = Prng.Rng.create 9 in
-  let b1 = select rng1 evaluated and b2 = select rng2 evaluated in
-  check Alcotest.bool "same seed, same batch" true (same_configs b1 b2);
-  check Alcotest.bool "batch within k" true (List.length b1 <= 5);
-  let distinct = Param.Config.Table.create 8 in
-  List.iter
-    (fun c ->
-      check Alcotest.bool "never proposes an evaluated config" false
-        (Param.Config.Table.mem evaluated c);
-      check Alcotest.bool "batch members distinct" false (Param.Config.Table.mem distinct c);
-      Param.Config.Table.replace distinct c ())
-    b1;
-  (* The rng consumption contract: exactly n draws whatever the
-     evaluated set holds, so campaigns replay from the seed. *)
-  let rng3 = Prng.Rng.create 9 in
-  ignore (select rng3 (Param.Config.Table.create 1));
-  check Alcotest.int "rng consumption independent of the evaluated set"
-    (Prng.Rng.int rng1 1_000_000) (Prng.Rng.int rng3 1_000_000);
-  let options =
-    { Hiperbot.Tuner.default_options with n_init = 4; sampled_candidates = Some 24 }
-  in
-  let run () =
-    Hiperbot.Tuner.run ~options ~rng:(Prng.Rng.create 11) ~space:space3 ~objective:objective3
-      ~budget:18 ()
-  in
-  check Alcotest.bool "sampled campaign replays bit-identically" true
-    (same_result (run ()) (run ()))
+           (Hiperbot.Strategy.select_many_encoded ~workers ~parallel_threshold:0 ~k:5 ~surrogate
+              ~encoded:virt ~evaluated ())))
 
 (* ---- initialization early-exit ---- *)
 
@@ -493,8 +459,6 @@ let suite =
         test_init_exits_early_when_pool_covered;
       Alcotest.test_case "virtual pool = materialized pool" `Quick
         test_virtual_pool_matches_materialized;
-      Alcotest.test_case "sampled candidates deterministic from seed" `Quick
-        test_sampled_mode_deterministic;
       QCheck_alcotest.to_alcotest prop_compiled_matches_naive;
       QCheck_alcotest.to_alcotest prop_stream_topk_matches_topk;
       QCheck_alcotest.to_alcotest prop_incremental_refit_matches_full;

@@ -73,7 +73,8 @@ let test_degenerate_matches_run_async () =
       in
       let asy =
         match
-          Tuner.run_async ~k ~rng:(Prng.Rng.create seed) ~space:Gen.wide_space
+          Tuner.run_with_policy ~mode:(Campaign.Async k) ~rng:(Prng.Rng.create seed)
+            ~space:Gen.wide_space
             ~objective:(fun ~attempt:_ c ->
               Resilience.Outcome.Value (scaled_objective ~rung:0 c))
             ~budget:25 ()
@@ -109,7 +110,7 @@ let prop_degenerate_matches_async =
           ~budget ()
       in
       let asy =
-        Tuner.run_async ~k ~rng:(Prng.Rng.create seed) ~space
+        Tuner.run_with_policy ~mode:(Campaign.Async k) ~rng:(Prng.Rng.create seed) ~space
           ~objective:(fun ~attempt:_ c -> Resilience.Outcome.Value (scaled_objective ~rung:0 c))
           ~budget ()
       in

@@ -333,9 +333,11 @@ let test_transfer_prior_biases_selection () =
   in
   let objective _ = 5. in
   let result =
-    Hiperbot.Transfer.run ~weight:10.
-      ~options:{ Hiperbot.Tuner.default_options with n_init = 2 }
-      ~rng:(Prng.Rng.create 101) ~space:space2 ~source ~objective ~budget:6 ()
+    Hiperbot.Tuner.run
+      ~options:
+        (Gen.with_transfer { Hiperbot.Tuner.default_options with n_init = 2 } space2
+           [ (source, 10.) ])
+      ~rng:(Prng.Rng.create 101) ~space:space2 ~objective ~budget:6 ()
   in
   let guided = Array.sub result.Hiperbot.Tuner.history 2 (Array.length result.Hiperbot.Tuner.history - 2) in
   let favored =
@@ -345,18 +347,15 @@ let test_transfer_prior_biases_selection () =
     (favored * 2 > Array.length guided)
 
 let test_transfer_validation () =
-  Alcotest.check_raises "empty source" (Invalid_argument "Transfer.run: empty source data")
-    (fun () ->
-      ignore
-        (Hiperbot.Transfer.run ~rng:(Prng.Rng.create 1) ~space:space2 ~source:[||]
-           ~objective:(fun _ -> 0.) ~budget:5 ()));
-  let bad_weight = Invalid_argument "Transfer.run: prior weight must be finite and non-negative" in
+  Alcotest.check_raises "empty source" (Invalid_argument "Transfer.prior: empty source data")
+    (fun () -> ignore (Hiperbot.Transfer.prior space2 [ ([||], 1.) ]));
+  let bad_weight =
+    Invalid_argument "Transfer.prior: prior weight must be finite and non-negative"
+  in
   List.iter
     (fun (label, w) ->
       Alcotest.check_raises label bad_weight (fun () ->
-          ignore
-            (Hiperbot.Transfer.run ~weight:w ~rng:(Prng.Rng.create 1) ~space:space2
-               ~source:separable_obs ~objective:(fun _ -> 0.) ~budget:5 ())))
+          ignore (Hiperbot.Transfer.prior space2 [ (separable_obs, w) ])))
     [ ("negative weight", -1.); ("nan weight", Float.nan); ("infinite weight", Float.infinity) ]
 
 let test_surrogate_weight_validation () =
@@ -663,9 +662,14 @@ let test_resilient_avoids_failing_region () =
   let options = { Hiperbot.Tuner.default_options with n_init = 4 } in
   let result =
     match
-      Hiperbot.Tuner.run_resilient ~options
-        ~on_failure:(fun _ _ -> incr failures_seen)
-        ~rng:(Prng.Rng.create 211) ~space:space2 ~objective ~budget:12 ()
+      Hiperbot.Tuner.run_with_policy ~options
+        ~on_outcome:(fun _ _ v ->
+          match v.Resilience.Evaluator.outcome with
+          | Resilience.Outcome.Value _ -> ()
+          | _ -> incr failures_seen)
+        ~rng:(Prng.Rng.create 211) ~space:space2
+        ~objective:(fun ~attempt:_ c -> Resilience.Outcome.of_option (objective c))
+        ~budget:12 ()
     with
     | Stdlib.Ok r -> r
     | Stdlib.Error _ -> Alcotest.fail "expected some successful evaluations"
@@ -690,8 +694,9 @@ let test_resilient_all_fail () =
   (* Every evaluation failing is reported as a structured error, not
      an exception — callers degrade gracefully. *)
   match
-    Hiperbot.Tuner.run_resilient ~rng:(Prng.Rng.create 212) ~space:space2
-      ~objective:(fun _ -> None) ~budget:5 ()
+    Hiperbot.Tuner.run_with_policy ~rng:(Prng.Rng.create 212) ~space:space2
+      ~objective:(fun ~attempt:_ _ -> Resilience.Outcome.of_option None)
+      ~budget:5 ()
   with
   | Stdlib.Ok _ -> Alcotest.fail "expected an all-failed error"
   | Stdlib.Error err ->
@@ -707,8 +712,8 @@ let test_resilient_matches_run_when_no_failures () =
   in
   let b =
     match
-      Hiperbot.Tuner.run_resilient ~rng:(Prng.Rng.create 213) ~space:space2
-        ~objective:(fun c -> Some (objective c))
+      Hiperbot.Tuner.run_with_policy ~rng:(Prng.Rng.create 213) ~space:space2
+        ~objective:(fun ~attempt:_ c -> Resilience.Outcome.of_option (Some (objective c)))
         ~budget:10 ()
     with
     | Stdlib.Ok r -> r

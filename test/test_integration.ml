@@ -64,7 +64,13 @@ let test_transfer_beats_cold_start () =
   in
   let with_prior =
     avg (fun ~rng ->
-        let r = Hiperbot.Transfer.run ~rng ~space ~source ~objective ~budget () in
+        let options =
+          {
+            Hiperbot.Tuner.default_options with
+            prior = Some (Hiperbot.Transfer.prior space [ (source, 1.) ]);
+          }
+        in
+        let r = Hiperbot.Tuner.run ~options ~rng ~space ~objective ~budget () in
         Metrics.Recall.recall good r.Hiperbot.Tuner.history)
   in
   let cold =

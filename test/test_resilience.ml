@@ -369,12 +369,55 @@ let test_resume_rejects_divergence () =
     Dataset.Runlog.create ~name:"kripke" ~seed ~space
       [ { Dataset.Runlog.index = 0; config = imposter; status = Dataset.Runlog.Ok 1.0; attempts = 1 } ]
   in
-  match Hiperbot.Tuner.resume ~options ~log ~objective ~budget:6 () with
+  (match Hiperbot.Tuner.resume ~options ~log ~objective ~budget:6 () with
   | _ -> Alcotest.fail "divergent log must be rejected"
   | exception Failure msg ->
       check Alcotest.bool "divergence message" true
         (String.length msg > 0
-        && String.sub msg 0 (min 12 (String.length msg)) = "Tuner.resume")
+        && String.sub msg 0 (min 12 (String.length msg)) = "Tuner.resume"));
+  (* A synchronous resume must refuse the record before spending an
+     evaluation on it: the objective is never called, whether the
+     divergence is the first entry or follows a genuine prefix. *)
+  let genuine_entry i =
+    let c, y = genuine.Hiperbot.Tuner.history.(i) in
+    { Dataset.Runlog.index = i; config = c; status = Dataset.Runlog.Ok y; attempts = 1 }
+  in
+  let imposter_at i =
+    let seen = Array.sub genuine.Hiperbot.Tuner.history 0 (i + 1) in
+    match
+      Array.find_opt
+        (fun c -> not (Array.exists (fun (h, _) -> Param.Config.equal c h) seen))
+        all
+    with
+    | Some c -> c
+    | None -> Alcotest.fail "space too small for an imposter"
+  in
+  List.iter
+    (fun cut ->
+      let entries =
+        List.init cut genuine_entry
+        @ [
+            {
+              Dataset.Runlog.index = cut;
+              config = imposter_at cut;
+              status = Dataset.Runlog.Ok 1.0;
+              attempts = 1;
+            };
+          ]
+      in
+      let log = Dataset.Runlog.create ~name:"kripke" ~seed ~space entries in
+      let calls = ref 0 in
+      let counting ~attempt c =
+        incr calls;
+        objective ~attempt c
+      in
+      (match Hiperbot.Tuner.resume ~options ~log ~objective:counting ~budget:6 () with
+      | _ -> Alcotest.fail "divergent log must be rejected"
+      | exception Failure _ -> ());
+      check Alcotest.int
+        (Printf.sprintf "divergence at entry %d: objective never called" cut)
+        0 !calls)
+    [ 0; 3 ]
 
 let suite =
   let tc = Alcotest.test_case in

@@ -108,11 +108,15 @@ let test_recorder_with_tuner () =
   let objective c = if Param.Value.to_index c.(1) = 2 then None else Some 1.5 in
   let result =
     match
-      Hiperbot.Tuner.run_resilient
+      Hiperbot.Tuner.run_with_policy
         ~options:{ Hiperbot.Tuner.default_options with n_init = 2 }
-        ~on_evaluation:(fun i c y -> Dataset.Runlog.record_evaluation rec_ i c y)
-        ~on_failure:(fun i c -> Dataset.Runlog.record_failure rec_ i c)
-        ~rng:(Prng.Rng.create 31) ~space ~objective ~budget:6 ()
+        ~on_outcome:(fun i c v ->
+          match v.Resilience.Evaluator.outcome with
+          | Resilience.Outcome.Value y -> Dataset.Runlog.record_evaluation rec_ i c y
+          | _ -> Dataset.Runlog.record_failure rec_ i c)
+        ~rng:(Prng.Rng.create 31) ~space
+        ~objective:(fun ~attempt:_ c -> Resilience.Outcome.of_option (objective c))
+        ~budget:6 ()
     with
     | Stdlib.Ok r -> r
     | Stdlib.Error _ -> Alcotest.fail "expected a successful run"
@@ -332,6 +336,45 @@ let test_writer_resume_truncates_partial_tail () =
       check Alcotest.int "appended entry attempts" 2
         final.Dataset.Runlog.entries.(1).Dataset.Runlog.attempts)
 
+(* The resume rewrite goes through a sibling temporary file, so a
+   failure before the rename leaves the recovered log byte-identical,
+   and a successful resume leaves no temporary file behind. *)
+let test_writer_resume_crash_safe () =
+  let path = Filename.temp_file "runlog_resume_safe" ".txt" in
+  let tmp = path ^ ".tmp" in
+  Fun.protect
+    ~finally:(fun () ->
+      if Sys.file_exists tmp && Sys.is_directory tmp then Sys.rmdir tmp;
+      if Sys.file_exists tmp then Sys.remove tmp;
+      Sys.remove path)
+    (fun () ->
+      let w = Dataset.Runlog.writer_create ~path ~name:"crashy" ~seed:6 ~space in
+      Dataset.Runlog.writer_record w
+        { Dataset.Runlog.index = 0; config = config 0 1; status = Dataset.Runlog.Ok 1.5; attempts = 1 };
+      Dataset.Runlog.writer_close w;
+      let oc = open_out_gen [ Open_append ] 0o644 path in
+      output_string oc "1,b,2";
+      close_out oc;
+      let read () = In_channel.with_open_bin path In_channel.input_all in
+      let before = read () in
+      let recovered = Dataset.Runlog.load ~recover:true path in
+      Sys.mkdir tmp 0o755;
+      (match Dataset.Runlog.writer_resume ~path recovered with
+      | _ -> Alcotest.fail "resume must fail while the temporary path is a directory"
+      | exception Sys_error _ -> ());
+      check Alcotest.bool "failed resume leaves the log byte-identical" true
+        (String.equal before (read ()));
+      Sys.rmdir tmp;
+      let w2 = Dataset.Runlog.writer_resume ~path recovered in
+      check Alcotest.bool "successful resume leaves no temporary file" false
+        (Sys.file_exists tmp);
+      Dataset.Runlog.writer_record w2
+        { Dataset.Runlog.index = 1; config = config 1 2; status = Dataset.Runlog.Ok 0.5; attempts = 1 };
+      Dataset.Runlog.writer_close w2;
+      check Alcotest.int "appends land in the renamed file" 2
+        (Array.length (Dataset.Runlog.load path).Dataset.Runlog.entries);
+      check Alcotest.bool "close leaves no temporary file" false (Sys.file_exists tmp))
+
 (* ---- Gate decision lines ---- *)
 
 let sample_gates =
@@ -456,6 +499,7 @@ let suite =
       tc "only-failures log roundtrip" `Quick test_only_failures_roundtrip;
       tc "writer flushes per entry" `Quick test_writer_flush_per_entry;
       tc "writer resume truncates partial tail" `Quick test_writer_resume_truncates_partial_tail;
+      tc "writer resume is crash-safe" `Quick test_writer_resume_crash_safe;
       tc "gate lines roundtrip" `Quick test_gate_roundtrip;
       tc "torn gate line recovers" `Quick test_gate_truncation_recover;
       tc "writer records and resumes gates" `Quick test_writer_gates;

@@ -306,6 +306,71 @@ let test_concurrent_clients () =
       | Stdlib.Error _ -> Alcotest.fail "direct drive failed")
     seeds
 
+(* ---- same-name open race: the loser must never touch the
+   winner's run log ---- *)
+
+let temp_dir prefix =
+  let dir = Filename.temp_file prefix "" in
+  Sys.remove dir;
+  dir
+
+let remove_dir dir =
+  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+  Sys.rmdir dir
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let test_same_name_open_race () =
+  let dir = temp_dir "serve_race" in
+  let server = Hiperbot.Serve.create ~dir () in
+  (* Different seeds, so a losing open that rewrote the file would
+     leave a header the winner's campaign does not match. The budget
+     exceeds the 64-configuration space (the campaign ends when the
+     space is exhausted) and makes each open allocate a large dedup
+     table, widening the window in which unreserved opens would
+     interleave. *)
+  let seeds = [| 51; 52; 53; 54 |] and budget = 200_000 in
+  let go = Atomic.make false in
+  let domains =
+    Array.map
+      (fun seed ->
+        Domain.spawn (fun () ->
+            while not (Atomic.get go) do
+              Domain.cpu_relax ()
+            done;
+            Hiperbot.Serve.handle server (open_line ~name:"race" ~seed ~budget ~k:2 ())))
+      seeds
+  in
+  Atomic.set go true;
+  let replies = Array.map Domain.join domains in
+  let winners =
+    List.filter
+      (fun i -> replies.(i) = "ok open race evaluated=0 pending=0")
+      (List.init (Array.length seeds) Fun.id)
+  in
+  check Alcotest.int "exactly one concurrent open succeeds" 1 (List.length winners);
+  Array.iteri
+    (fun i r ->
+      if not (List.mem i winners) then
+        check Alcotest.bool (Printf.sprintf "loser %d answered err (%s)" i r) true
+          (has_prefix "err" r))
+    replies;
+  let seed = seeds.(List.hd winners) in
+  let fin = drive_session server "race" Gen.hash_objective in
+  Hiperbot.Serve.close_all server;
+  let raced = read_file (Filename.concat dir "race.runlog") in
+  let alone_dir = temp_dir "serve_alone" in
+  let alone = Hiperbot.Serve.create ~dir:alone_dir () in
+  ignore (Hiperbot.Serve.handle alone (open_line ~name:"race" ~seed ~budget ~k:2 ()));
+  let fin_alone = drive_session alone "race" Gen.hash_objective in
+  Hiperbot.Serve.close_all alone;
+  let isolated = read_file (Filename.concat alone_dir "race.runlog") in
+  remove_dir dir;
+  remove_dir alone_dir;
+  check Alcotest.string "winner's campaign = isolated campaign" fin_alone fin;
+  check Alcotest.bool "winner's run log = isolated run log, byte for byte" true
+    (String.equal raced isolated)
+
 let suite =
   ( "serve",
     [
@@ -316,4 +381,5 @@ let suite =
       Alcotest.test_case "crash-then-recover from runlog" `Quick test_crash_recovery;
       Alcotest.test_case "pool sharing accounting" `Quick test_pool_sharing;
       Alcotest.test_case "concurrent clients across domains" `Quick test_concurrent_clients;
+      Alcotest.test_case "same-name open race" `Quick test_same_name_open_race;
     ] )

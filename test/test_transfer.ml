@@ -1,6 +1,7 @@
-(* Transfer-learning engine tests: single/multi-source parity, the
-   w = 0 no-prior property, decay-schedule validation and values,
-   engine composition (fault policy, interrupt/resume, async),
+(* Transfer-learning tests: the [Transfer.prior] constructor against
+   its parts, the w = 0 no-prior property, decay-schedule validation
+   and values, composition with every tuner mode (fault policy,
+   interrupt/resume, async),
    JS-guided weighting, telemetry prior provenance, the source/target
    overlap sanity check behind the transfer experiments, and the
    smoothing = 0 density-floor regression. *)
@@ -24,23 +25,30 @@ let test_multi_single_source_parity () =
   let objective = Dataset.Table.objective_fn trgt in
   let options = { Hiperbot.Tuner.default_options with n_init = 8 } in
   let budget = 24 and weight = 2.5 in
-  let single =
-    Hiperbot.Transfer.run ~options ~weight ~rng:(Prng.Rng.create 11) ~space ~source ~objective
-      ~budget ()
+  let run_with options =
+    Hiperbot.Tuner.run ~options ~rng:(Prng.Rng.create 11) ~space ~objective ~budget ()
   in
-  let multi =
-    Hiperbot.Transfer.run_multi ~options ~sources:[ (source, weight) ]
-      ~rng:(Prng.Rng.create 11) ~space ~objective ~budget ()
+  let run ?weighting sources = run_with (Gen.with_transfer ?weighting options space sources) in
+  let single = run [ (source, weight) ] in
+  (* The constructor is exactly the composition of its parts: source
+     fits, the constant schedule and the default gate. *)
+  let composed =
+    let priors = Hiperbot.Transfer.prior_of_sources space [ (source, weight) ] in
+    run_with
+      {
+        options with
+        prior =
+          Some
+            (Hiperbot.Tuner.prior_of ~decay:Hiperbot.Tuner.constant_decay
+               ~gate:Hiperbot.Gate.default_options priors);
+      }
   in
-  check Alcotest.bool "run_multi with one source = run, bit-for-bit" true
-    (Gen.results_identical single multi);
+  check Alcotest.bool "Transfer.prior = prior_of over prior_of_sources, bit-for-bit" true
+    (Gen.results_identical single composed);
   (* Js_guided with a single source sees a pooled fit on exactly the
      source data, so every JS term is exactly 0 and the multiplier is
      exactly 1: bit-identical to Constant_weights. *)
-  let js =
-    Hiperbot.Transfer.run_multi ~options ~weighting:Hiperbot.Transfer.Js_guided
-      ~sources:[ (source, weight) ] ~rng:(Prng.Rng.create 11) ~space ~objective ~budget ()
-  in
+  let js = run ~weighting:Hiperbot.Transfer.Js_guided [ (source, weight) ] in
   check Alcotest.bool "Js_guided single source = Constant_weights, bit-for-bit" true
     (Gen.results_identical single js)
 
@@ -68,15 +76,13 @@ let prop_zero_prior_equals_no_prior =
         Hiperbot.Tuner.run ~options ~rng:(Prng.Rng.create seed) ~space
           ~objective:Gen.hash_objective ~budget ()
       in
-      let zero_weight =
-        Hiperbot.Transfer.run ~options ~weight:0. ~rng:(Prng.Rng.create seed) ~space ~source
-          ~objective:Gen.hash_objective ~budget ()
+      let transfer ?schedule weight =
+        Hiperbot.Tuner.run
+          ~options:(Gen.with_transfer ?schedule options space [ (source, weight) ])
+          ~rng:(Prng.Rng.create seed) ~space ~objective:Gen.hash_objective ~budget ()
       in
-      let zero_decay =
-        Hiperbot.Transfer.run ~options ~weight:1.
-          ~schedule:(Hiperbot.Transfer.Custom (fun _ -> 0.))
-          ~rng:(Prng.Rng.create seed) ~space ~source ~objective:Gen.hash_objective ~budget ()
-      in
+      let zero_weight = transfer 0. in
+      let zero_decay = transfer ~schedule:(Hiperbot.Transfer.Custom (fun _ -> 0.)) 1. in
       Gen.results_identical bare zero_weight && Gen.results_identical bare zero_decay)
 
 (* ---- decay schedules: values and validation ---- *)
@@ -113,11 +119,14 @@ let test_decay_schedules () =
     (Invalid_argument "Tuner.run: prior decay multiplier must be finite and non-negative")
     (fun () ->
       ignore
-        (Hiperbot.Transfer.run
-           ~options:{ Hiperbot.Tuner.default_options with n_init = 4 }
-           ~schedule:(Hiperbot.Transfer.Custom (fun _ -> -1.))
-           ~rng:(Prng.Rng.create 1) ~space ~source
-           ~objective:(Dataset.Table.objective_fn trgt) ~budget:8 ()))
+        (Hiperbot.Tuner.run
+           ~options:
+             (Gen.with_transfer
+                ~schedule:(Hiperbot.Transfer.Custom (fun _ -> -1.))
+                { Hiperbot.Tuner.default_options with n_init = 4 }
+                space [ (source, 1.) ])
+           ~rng:(Prng.Rng.create 1) ~space ~objective:(Dataset.Table.objective_fn trgt)
+           ~budget:8 ()))
 
 (* ---- engine composition: fault policy, interrupt/resume, async ---- *)
 
@@ -134,12 +143,13 @@ let test_transfer_resume_parity () =
   let options = { Hiperbot.Tuner.default_options with n_init = 8 } in
   let budget = 24 and interrupt_after = 10 and seed = 6 in
   let schedule = Hiperbot.Transfer.Reciprocal { n0 = 8. } in
+  let options = Gen.with_transfer ~schedule options space sources in
   let recorded = ref [] in
   let full =
     match
-      Hiperbot.Transfer.run_with_policy ~options ~policy:Gen.policy3 ~schedule
+      Hiperbot.Tuner.run_with_policy ~options ~policy:Gen.policy3
         ~on_outcome:(fun i c v -> recorded := (i, c, v) :: !recorded)
-        ~rng:(Prng.Rng.create seed) ~space ~sources ~objective ~budget ()
+        ~rng:(Prng.Rng.create seed) ~space ~objective ~budget ()
     with
     | Stdlib.Ok r -> r
     | Stdlib.Error _ -> Alcotest.fail "uninterrupted transfer campaign failed outright"
@@ -158,8 +168,7 @@ let test_transfer_resume_parity () =
   let log = Dataset.Runlog.create ~name:"kripke_trgt" ~seed ~space entries in
   let resumed =
     match
-      Hiperbot.Transfer.resume ~options ~policy:Gen.policy3 ~schedule ~log ~sources ~objective
-        ~budget ()
+      Hiperbot.Tuner.resume ~options ~policy:Gen.policy3 ~log ~objective ~budget ()
     with
     | Stdlib.Ok r -> r
     | Stdlib.Error _ -> Alcotest.fail "resumed transfer campaign failed outright"
@@ -169,22 +178,20 @@ let test_transfer_resume_parity () =
 
 let test_transfer_async_k1_parity () =
   let space, objective, sources = faulty_campaign () in
-  let options = { Hiperbot.Tuner.default_options with n_init = 8 } in
+  let options =
+    Gen.with_transfer { Hiperbot.Tuner.default_options with n_init = 8 } space sources
+  in
   let budget = 24 and seed = 9 in
-  let unwrap label = function
+  let run label mode =
+    match
+      Hiperbot.Tuner.run_with_policy ~options ~mode ~policy:Gen.policy3
+        ~rng:(Prng.Rng.create seed) ~space ~objective ~budget ()
+    with
     | Stdlib.Ok r -> r
     | Stdlib.Error _ -> Alcotest.fail (label ^ " failed outright")
   in
-  let sync =
-    unwrap "run_with_policy"
-      (Hiperbot.Transfer.run_with_policy ~options ~policy:Gen.policy3
-         ~rng:(Prng.Rng.create seed) ~space ~sources ~objective ~budget ())
-  in
-  let async =
-    unwrap "run_async"
-      (Hiperbot.Transfer.run_async ~options ~policy:Gen.policy3 ~k:1
-         ~rng:(Prng.Rng.create seed) ~space ~sources ~objective ~budget ())
-  in
+  let sync = run "sync" Hiperbot.Campaign.Sync in
+  let async = run "async" (Hiperbot.Campaign.Async 1) in
   check Alcotest.bool "transfer async k=1 = run_with_policy, bit-for-bit" true
     (Gen.results_identical sync async)
 
@@ -222,17 +229,18 @@ let test_source_validation () =
   let objective = Dataset.Table.objective_fn trgt in
   let run sources () =
     ignore
-      (Hiperbot.Transfer.run_multi ~rng:(Prng.Rng.create 1) ~space ~sources ~objective
-         ~budget:8 ())
+      (Hiperbot.Tuner.run
+         ~options:(Gen.with_transfer Hiperbot.Tuner.default_options space sources)
+         ~rng:(Prng.Rng.create 1) ~space ~objective ~budget:8 ())
   in
   let source = source_rows (table "kripke_src") ~n:20 in
   Alcotest.check_raises "empty source list"
-    (Invalid_argument "Transfer.run: empty source list") (run []);
+    (Invalid_argument "Transfer.prior: empty source list") (run []);
   Alcotest.check_raises "empty source data"
-    (Invalid_argument "Transfer.run: empty source data")
+    (Invalid_argument "Transfer.prior: empty source data")
     (run [ (source, 1.); ([||], 1.) ]);
   Alcotest.check_raises "nan weight"
-    (Invalid_argument "Transfer.run: prior weight must be finite and non-negative")
+    (Invalid_argument "Transfer.prior: prior weight must be finite and non-negative")
     (run [ (source, Float.nan) ])
 
 (* ---- telemetry: refit prior provenance ---- *)
@@ -248,10 +256,13 @@ let test_refit_provenance () =
   let refits schedule =
     let sink, collected = Telemetry.Trace.memory_sink () in
     let telemetry = Telemetry.Trace.make [ sink ] in
-    let options = { Hiperbot.Tuner.default_options with n_init = 6 } in
+    let options =
+      Gen.with_transfer ~schedule { Hiperbot.Tuner.default_options with n_init = 6 } space
+        sources
+    in
     ignore
-      (Hiperbot.Transfer.run_multi ~telemetry ~options ~schedule ~rng:(Prng.Rng.create 3)
-         ~space ~sources ~objective ~budget:16 ());
+      (Hiperbot.Tuner.run ~telemetry ~options ~rng:(Prng.Rng.create 3) ~space ~objective
+         ~budget:16 ());
     Telemetry.Trace.close telemetry;
     List.filter_map
       (fun (_, ev) ->
