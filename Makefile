@@ -1,7 +1,7 @@
 # Development entry points. `make check` is what CI runs: build,
 # formatting (when ocamlformat is installed), and the full test suite.
 
-.PHONY: all build test fmt check clean bench bench-build bench-select bench-async bench-transfer bench-fidelity bench-serve bench-moo trace-demo
+.PHONY: all build test fmt check clean bench bench-build bench-select bench-async bench-transfer bench-fidelity bench-moo trace-demo
 
 all: build
 
@@ -47,15 +47,6 @@ bench-transfer: bench-build
 # the recall/cost assertions; the bit-parity assertion still runs).
 bench-fidelity: bench-build
 	dune exec bench/main.exe -- --experiment fidelity
-
-# The tuning server under 8 concurrent protocol clients (each on its
-# own worker domain); writes BENCH_serve.json with campaigns/sec and
-# p50/p95 suggest latency, and asserts served-k=1 parity with the
-# synchronous engine plus crash-then-recover determinism. Set
-# HIPERBOT_SERVE_BUDGET for a quick smoke run (all assertions still
-# run, at the smaller budget).
-bench-serve: bench-build
-	dune exec bench/main.exe -- --experiment serve
 
 # Multi-objective tuning on the Kripke time+energy surface: scalarised
 # moo campaigns vs random search vs two single-objective runs, scored

@@ -29,11 +29,6 @@ let experiments =
         run = Transfer_bench.run;
       };
       {
-        Experiments.id = "serve";
-        describe = "tuning server under N concurrent clients (writes BENCH_serve.json)";
-        run = Serve_bench.run;
-      };
-      {
         Experiments.id = "fidelity";
         describe =
           "successive halving vs flat full-fidelity tuning (writes BENCH_fidelity.json)";

@@ -128,11 +128,6 @@ let span_ns ~reps f =
 let same_selection a b =
   List.length a = List.length b && List.for_all2 Param.Config.equal a b
 
-let schedule_name = function
-  | Parallel.Pool.Static -> "static"
-  | Parallel.Pool.Dynamic n -> Printf.sprintf "dynamic%d" n
-  | Parallel.Pool.Guided -> "guided"
-
 (* ---- part 2: million-config pools ---- *)
 
 (* n_params decimal parameters of 10 choices each: pool size is
@@ -471,30 +466,26 @@ let run ~reps () =
   Printf.printf "%-34s %12.0f ns  (from Rank span)\n" "ranking scan" rank_ns;
   Printf.printf "naive selection matches compiled: %b\n" naive_matches;
   Printf.printf "traced selection matches untraced: %b\n" traced_matches;
-  (* Parallel arguments across domain counts and schedules; each
-     setting must reproduce the sequential selection bit-for-bit. At
+  (* Parallel arguments across domain counts; each setting must
+     reproduce the sequential selection bit-for-bit. At
      1620 rows every one of these is below the parallel threshold, so
      the workers argument is ignored and the rows measure the
      forced-sequential cutover (they should all sit at the sequential
      time — this used to be a 4-5x regression). *)
   let forced_sequential = n < Hiperbot.Strategy.default_parallel_threshold in
   let parallel_rows =
-    List.concat_map
+    List.map
       (fun domains ->
         Parallel.Pool.with_pool ~num_domains:domains (fun workers ->
-            List.map
-              (fun schedule ->
-                let f telemetry =
-                  Hiperbot.Strategy.select_many ~telemetry ~workers ~schedule ~encoded
-                    Hiperbot.Strategy.Ranking ~k ~rng:select_rng ~surrogate ~pool ~evaluated
-                in
-                let matches = same_selection (f Telemetry.Trace.disabled) sequential in
-                let ns, _, _ = span_ns ~reps f in
-                Printf.printf "parallel %d+1 domains %-10s %12.0f ns  matches=%b%s\n" domains
-                  (schedule_name schedule) ns matches
-                  (if forced_sequential then "  (forced sequential: below threshold)" else "");
-                (domains, schedule, ns, matches))
-              [ Parallel.Pool.Static; Parallel.Pool.Dynamic 64; Parallel.Pool.Guided ]))
+            let f telemetry =
+              Hiperbot.Strategy.select_many ~telemetry ~workers ~encoded
+                Hiperbot.Strategy.Ranking ~k ~rng:select_rng ~surrogate ~pool ~evaluated
+            in
+            let matches = same_selection (f Telemetry.Trace.disabled) sequential in
+            let ns, _, _ = span_ns ~reps f in
+            Printf.printf "parallel %d+1 domains %12.0f ns  matches=%b%s\n" domains ns matches
+              (if forced_sequential then "  (forced sequential: below threshold)" else "");
+            (domains, ns, matches)))
       [ 0; 1; 3 ]
   in
   (* ---- large pools ---- *)
@@ -537,11 +528,11 @@ let run ~reps () =
   Printf.bprintf buf "  \"traced_matches_untraced\": %b,\n" traced_matches;
   Printf.bprintf buf "  \"parallel\": [\n";
   List.iteri
-    (fun i (domains, schedule, ns, matches) ->
+    (fun i (domains, ns, matches) ->
       Printf.bprintf buf
-        "    { \"domains\": %d, \"schedule\": \"%s\", \"select_ns\": %.1f, \
-         \"matches_sequential\": %b, \"forced_sequential\": %b }%s\n"
-        domains (schedule_name schedule) ns matches forced_sequential
+        "    { \"domains\": %d, \"select_ns\": %.1f, \"matches_sequential\": %b, \
+         \"forced_sequential\": %b }%s\n"
+        domains ns matches forced_sequential
         (if i = List.length parallel_rows - 1 then "" else ","))
     parallel_rows;
   Printf.bprintf buf "  ],\n";
@@ -584,11 +575,10 @@ let run ~reps () =
   if not naive_matches then failwith "BENCH select: naive and compiled selections diverged";
   if not traced_matches then failwith "BENCH select: tracing changed the selection";
   List.iter
-    (fun (domains, schedule, _, matches) ->
+    (fun (domains, _, matches) ->
       if not matches then
         failwith
-          (Printf.sprintf "BENCH select: parallel (%d domains, %s) diverged from sequential"
-             domains (schedule_name schedule)))
+          (Printf.sprintf "BENCH select: parallel (%d domains) diverged from sequential" domains))
     parallel_rows;
   List.iter
     (fun r ->

@@ -1,13 +1,14 @@
 (* The reentrant campaign state machine. The [Tuner] driver (both
-   modes), [Fidelity] and [Serve] are thin layers over this module,
-   so bit-compatibility with the historical recursive loops is
+   modes) and [Serve] are thin layers over this module, so
+   bit-compatibility with the historical recursive loops is
    structural: there is exactly one implementation of init draws,
    gated refits, selection, replay verification, and bookkeeping, and
    the drivers only decide how verdicts are produced and in what
-   order completions land. Every helper here preserves the engines'
-   side-effect order (rng draws, telemetry emission, callback calls)
-   exactly — that order is what the bit-exact resume and k=1 parity
-   guarantees rest on. *)
+   order completions land. [Fidelity]'s rung scheduler, run by the
+   same driver, shares [draw_fresh], [encode_pool] and the [Ledger].
+   Every helper here preserves the engines' side-effect order (rng
+   draws, telemetry emission, callback calls) exactly — that order is
+   what the bit-exact resume and k=1 parity guarantees rest on. *)
 
 type prior = {
   sources : (Surrogate.t * float) array;
@@ -174,6 +175,21 @@ let fit_gated ~telemetry ~options ~gate ~emit_gate ~refit ~space ~anchor ~extra_
       List.iter emit_gate step.Gate.step_decisions;
       refit_with step.Gate.step_priors
 
+let encode_pool ~who ~space candidates =
+  match candidates with
+  | Some c ->
+      if Array.length c = 0 then invalid_arg (who ^ ": empty candidate set");
+      Array.iter
+        (fun config ->
+          if not (Param.Space.validate space config) then
+            invalid_arg (who ^ ": invalid candidate configuration"))
+        c;
+      Surrogate.Pool.encode space c
+  | None ->
+      if not (Param.Space.is_finite space) then
+        invalid_arg (who ^ ": Ranking strategy requires a finite space");
+      Surrogate.Pool.of_space space
+
 (* Validation and per-campaign candidate-pool setup: checks the
    options and index-encodes the candidate pool once (the encoding
    depends only on the space and the pool, so every refit's compiled
@@ -209,6 +225,15 @@ let campaign_setup ~options ~candidates ~shared_pool ~space ~budget =
         Array.length ps <> Array.length cs
         || not (Array.for_all2 same_spec ps cs)
       then invalid_arg "Campaign.create: shared_pool space does not match the campaign space");
+  let encoded =
+    match (shared_pool, options.strategy) with
+    | Some p, _ -> Some p
+    | None, Strategy.Ranking -> Some (encode_pool ~who:"Tuner.run" ~space candidates)
+    | None, Strategy.Proposal _ ->
+        if Option.is_some candidates then
+          invalid_arg "Tuner.run: candidates require the Ranking strategy";
+        None
+  in
   (* A boxed shared pool restricts init draws to its rows, exactly
      like an explicit candidate set (its configurations were already
      validated when the pool was encoded). *)
@@ -217,34 +242,24 @@ let campaign_setup ~options ~candidates ~shared_pool ~space ~budget =
     | Some p when not (Surrogate.Pool.is_virtual p) -> Some (Surrogate.Pool.configs p)
     | _ -> candidates
   in
-  (match (candidates, shared_pool) with
-  | Some c, None ->
-      if Array.length c = 0 then invalid_arg "Tuner.run: empty candidate set";
-      (match options.strategy with
-      | Strategy.Ranking -> ()
-      | Strategy.Proposal _ ->
-          invalid_arg "Tuner.run: candidates require the Ranking strategy");
-      Array.iter
-        (fun config ->
-          if not (Param.Space.validate space config) then
-            invalid_arg "Tuner.run: invalid candidate configuration")
-        c
-  | _ -> ());
-  let encoded =
-    match (shared_pool, candidates, options.strategy) with
-    | Some p, _, _ -> Some p
-    | None, Some c, _ -> Some (Surrogate.Pool.encode space c)
-    | None, None, Strategy.Ranking ->
-        if not (Param.Space.is_finite space) then
-          invalid_arg "Tuner.run: Ranking strategy requires a finite space";
-        Some (Surrogate.Pool.of_space space)
-    | None, None, Strategy.Proposal _ -> None
-  in
   let n_init =
     let cap = match candidates with Some c -> min budget (Array.length c) | None -> budget in
     min options.n_init cap
   in
   (encoded, candidates, n_init)
+
+let draw_fresh ~rng ~candidates ~space ~seen =
+  let draw () =
+    match candidates with
+    | Some c -> c.(Prng.Rng.int rng (Array.length c))
+    | None -> Param.Space.random_config space rng
+  in
+  let rec attempt i =
+    let c = draw () in
+    if (not (Param.Config.Table.mem seen c)) || i >= max_init_redraws then (c, i)
+    else attempt (i + 1)
+  in
+  attempt 0
 
 (* Once a finite pool is fully covered, every draw is a duplicate:
    each would spin [max_init_redraws] hash probes for nothing, so
@@ -274,11 +289,11 @@ let pool_coverage_check ~encoded ~table =
 (* Guided selection: Ranking campaigns always rank over the encoded
    pool, reusing the refit engine's compiled scorer; Proposal samples
    from pg and never looks at a pool. *)
-let select_batch ~telemetry ~options ?workers ?schedule ~encoded ~compiled ~k ~rng ~surrogate
-    ~evaluated () =
+let select_batch ~telemetry ~options ?workers ~encoded ~compiled ~k ~rng ~surrogate ~evaluated
+    () =
   match (options.strategy, encoded) with
   | Strategy.Ranking, Some e ->
-      Strategy.select_many_encoded ~telemetry ?workers ?schedule ?compiled ~k ~surrogate
+      Strategy.select_many_encoded ~telemetry ?workers ?compiled ~k ~surrogate
         ~encoded:e ~evaluated ()
   | Strategy.Ranking, None -> assert false (* campaign_setup always encodes for Ranking *)
   | (Strategy.Proposal _ as strategy), _ ->
@@ -314,11 +329,117 @@ let replay_of_log ~policy log =
         } ))
     log.Dataset.Runlog.entries
 
+(* ---- the completion ledger ---- *)
+
+module Ledger = struct
+  type t = {
+    telemetry : Telemetry.Trace.t;
+    t0 : float;
+    mutable attempts : int;
+    mutable retry_cost : float;
+    mutable history_rev : (Param.Config.t * float) list;
+    mutable failures_rev : (Param.Config.t * Resilience.Outcome.t) list;
+    mutable trajectory_rev : float list;
+    mutable best : (Param.Config.t * float) option;
+  }
+
+  let create ~telemetry ~t0 ~budget ~n_init ~batch_size ~n_warm ~n_replay =
+    Telemetry.Trace.emit telemetry
+      (Telemetry.Event.Campaign_start { budget; n_init; batch_size; n_warm; n_replay });
+    {
+      telemetry;
+      t0;
+      attempts = 0;
+      retry_cost = 0.;
+      history_rev = [];
+      failures_rev = [];
+      trajectory_rev = [];
+      best = None;
+    }
+
+  let tally l (v : Resilience.Evaluator.verdict) =
+    l.attempts <- l.attempts + v.Resilience.Evaluator.attempts;
+    l.retry_cost <- l.retry_cost +. v.Resilience.Evaluator.retry_cost
+
+  let record l ~index ~replayed ~dur_ms config (v : Resilience.Evaluator.verdict) =
+    tally l v;
+    let outcome = v.Resilience.Evaluator.outcome in
+    let improved =
+      match outcome with
+      | Resilience.Outcome.Value y ->
+          let improved = match l.best with Some (_, by) -> not (by <= y) | None -> true in
+          if improved then l.best <- Some (config, y);
+          l.history_rev <- (config, y) :: l.history_rev;
+          l.trajectory_rev <- snd (Option.get l.best) :: l.trajectory_rev;
+          improved
+      | failure ->
+          l.failures_rev <- (config, failure) :: l.failures_rev;
+          false
+    in
+    if Telemetry.Trace.enabled l.telemetry then
+      Telemetry.Trace.emit l.telemetry
+        (Telemetry.Event.Eval
+           {
+             index;
+             kind = Resilience.Outcome.kind outcome;
+             value = Resilience.Outcome.value outcome;
+             attempts = v.Resilience.Evaluator.attempts;
+             retry_cost = v.Resilience.Evaluator.retry_cost;
+             replayed;
+             dur_ms;
+           });
+    improved
+
+  let history l = Array.of_list (List.rev l.history_rev)
+
+  let submit l ~index ~in_flight ~at =
+    if Telemetry.Trace.enabled l.telemetry then
+      Telemetry.Trace.emit l.telemetry (Telemetry.Event.Submit { index; in_flight; sim_time = at })
+
+  let complete l ~index ~in_flight ~at kind =
+    if Telemetry.Trace.enabled l.telemetry then
+      Telemetry.Trace.emit l.telemetry
+        (Telemetry.Event.Complete { index; in_flight; sim_time = at; kind })
+
+  let close l ~evaluations ~final_surrogate ~stopped_early =
+    Telemetry.Trace.emit l.telemetry
+      (Telemetry.Event.Campaign_end
+         {
+           evaluations;
+           failures = List.length l.failures_rev;
+           best = Option.map snd l.best;
+           stopped_early;
+           dur_ms = (Telemetry.Trace.now l.telemetry -. l.t0) *. 1000.;
+         });
+    match l.best with
+    | None ->
+        Stdlib.Error
+          { error_failures = Array.of_list (List.rev l.failures_rev); error_attempts = l.attempts }
+    | Some (best_config, best_value) ->
+        Stdlib.Ok
+          {
+            history = history l;
+            best_config;
+            best_value;
+            trajectory = Array.of_list (List.rev l.trajectory_rev);
+            final_surrogate;
+            stopped_early;
+            failures = Array.of_list (List.rev l.failures_rev);
+            n_attempts = l.attempts;
+            retry_cost = l.retry_cost;
+          }
+end
+
 (* ---- the machine ---- *)
 
 type mode = Sync | Async of int
 
-type suggestion = { id : int; config : Param.Config.t; guided : bool }
+type suggestion = {
+  id : int;
+  config : Param.Config.t;
+  guided : bool;
+  recorded : Resilience.Evaluator.verdict option;
+}
 
 type step = Suggest of suggestion | Wait | Finished
 
@@ -339,10 +460,11 @@ type t = {
   gate : Gate.t option;
   emit_gate : Gate.decision -> unit;
   workers : Parallel.Pool.t option;
-  schedule : Parallel.Pool.schedule option;
   on_outcome : (int -> Param.Config.t -> Resilience.Evaluator.verdict -> unit) option;
   warm_start : (Param.Config.t * float) array;
   replay : (Param.Config.t * Resilience.Evaluator.verdict) array;
+  (* Recorded verdicts by configuration (each is issued at most once). *)
+  replay_index : Resilience.Evaluator.verdict Param.Config.Table.t;
   n_init : int;
   (* Deduplication at suggestion time: a configuration joins [seen]
      when issued (or warm-started), so in-flight configurations are
@@ -353,15 +475,13 @@ type t = {
      every read point. *)
   seen : unit Param.Config.Table.t;
   pool_exhausted : unit -> bool;
-  campaign_t0 : float;
+  ledger : Ledger.t;
   mutable phase : phase;
   mutable init_drawn : int;
   mutable batch_queue : Param.Config.t list;  (* Sync: selected, not yet issued *)
   mutable pend : pending_slot list;  (* newest first, like the engines' in_flight *)
   mutable submitted : int;
   mutable completed : int;
-  mutable history_rev : (Param.Config.t * float) list;
-  mutable failures_rev : (Param.Config.t * Resilience.Outcome.t) list;
   (* The gate's unbiased anchor evidence: warm-start data plus the
      random-init completions that have landed so far (guided
      completions are excluded — they are prior-biased). In [Sync]
@@ -369,11 +489,7 @@ type t = {
      refit, so this equals the old core's history-at-first-refit
      snapshot exactly. *)
   mutable anchor_rev : (Param.Config.t * float) list;
-  mutable trajectory_rev : float list;
-  mutable best_so_far : (Param.Config.t * float) option;
   mutable since_improvement : int;
-  mutable attempts_total : int;
-  mutable retry_cost_total : float;
   mutable final_surrogate : Surrogate.t option;
   mutable no_more : bool;
   mutable outcome : (result, run_error) Stdlib.result option;
@@ -381,7 +497,7 @@ type t = {
 
 let create ?(telemetry = Telemetry.Trace.disabled) ?(options = default_options)
     ?(warm_start = [||]) ?candidates ?shared_pool ?on_outcome ?on_gate ?(recorded_gates = [||])
-    ?(replay = [||]) ?pool:workers ?schedule ~mode ~rng ~space ~budget () =
+    ?(replay = [||]) ?pool:workers ~mode ~rng ~space ~budget () =
   let campaign_t0 = Telemetry.Trace.now telemetry in
   (match mode with
   | Async k when k < 1 -> invalid_arg "Campaign.create: Async k must be at least 1"
@@ -400,7 +516,10 @@ let create ?(telemetry = Telemetry.Trace.disabled) ?(options = default_options)
   let refit = Option.map (Surrogate.Refit.create ~options:options.surrogate) encoded in
   let gate = gate_state_of ~options in
   let emit_gate = gate_emitter ?on_gate ?gate ~recorded:recorded_gates () in
-  let seen = Param.Config.Table.create (budget + Array.length warm_start) in
+  (* Sized independently of the budget: a client-supplied budget must
+     not allocate before the first suggestion, and the table grows on
+     demand. It is only probed and iterated order-independently. *)
+  let seen = Param.Config.Table.create 64 in
   Array.iter
     (fun (c, _) ->
       if not (Param.Space.validate space c) then
@@ -408,16 +527,13 @@ let create ?(telemetry = Telemetry.Trace.disabled) ?(options = default_options)
       Param.Config.Table.replace seen c ())
     warm_start;
   let pool_exhausted = pool_coverage_check ~encoded ~table:seen in
-  if Telemetry.Trace.enabled telemetry then
-    Telemetry.Trace.emit telemetry
-      (Telemetry.Event.Campaign_start
-         {
-           budget;
-           n_init;
-           batch_size = (match mode with Sync -> options.batch_size | Async k -> k);
-           n_warm = Array.length warm_start;
-           n_replay = Array.length replay;
-         });
+  let replay_index = Param.Config.Table.create (Array.length replay) in
+  Array.iter (fun (c, v) -> Param.Config.Table.replace replay_index c v) replay;
+  let ledger =
+    Ledger.create ~telemetry ~t0:campaign_t0 ~budget ~n_init
+      ~batch_size:(match mode with Sync -> options.batch_size | Async k -> k)
+      ~n_warm:(Array.length warm_start) ~n_replay:(Array.length replay)
+  in
   {
     mode;
     telemetry;
@@ -431,28 +547,22 @@ let create ?(telemetry = Telemetry.Trace.disabled) ?(options = default_options)
     gate;
     emit_gate;
     workers;
-    schedule;
     on_outcome;
     warm_start;
     replay;
+    replay_index;
     n_init;
     seen;
     pool_exhausted;
-    campaign_t0;
+    ledger;
     phase = Initializing;
     init_drawn = 0;
     batch_queue = [];
     pend = [];
     submitted = 0;
     completed = 0;
-    history_rev = [];
-    failures_rev = [];
     anchor_rev = [];
-    trajectory_rev = [];
-    best_so_far = None;
     since_improvement = 0;
-    attempts_total = 0;
-    retry_cost_total = 0.;
     final_surrogate = None;
     no_more = false;
     outcome = None;
@@ -461,68 +571,36 @@ let create ?(telemetry = Telemetry.Trace.disabled) ?(options = default_options)
 let stale t =
   match t.options.early_stop with Some e -> t.since_improvement >= e | None -> false
 
-let observations t = Array.append t.warm_start (Array.of_list (List.rev t.history_rev))
+let observations t = Array.append t.warm_start (Ledger.history t.ledger)
 let anchor t () = Array.append t.warm_start (Array.of_list (List.rev t.anchor_rev))
 
 let finalize t =
-  let stopped_early = stale t in
-  if Telemetry.Trace.enabled t.telemetry then
-    Telemetry.Trace.emit t.telemetry
-      (Telemetry.Event.Campaign_end
-         {
-           evaluations = t.completed;
-           failures = List.length t.failures_rev;
-           best = Option.map snd t.best_so_far;
-           stopped_early;
-           dur_ms = (Telemetry.Trace.now t.telemetry -. t.campaign_t0) *. 1000.;
-         });
   t.outcome <-
     Some
-      (match t.best_so_far with
-      | None ->
-          Stdlib.Error
-            {
-              error_failures = Array.of_list (List.rev t.failures_rev);
-              error_attempts = t.attempts_total;
-            }
-      | Some (best_config, best_value) ->
-          Stdlib.Ok
-            {
-              history = Array.of_list (List.rev t.history_rev);
-              best_config;
-              best_value;
-              trajectory = Array.of_list (List.rev t.trajectory_rev);
-              final_surrogate = t.final_surrogate;
-              stopped_early;
-              failures = Array.of_list (List.rev t.failures_rev);
-              n_attempts = t.attempts_total;
-              retry_cost = t.retry_cost_total;
-            })
+      (Ledger.close t.ledger ~evaluations:t.completed ~final_surrogate:t.final_surrogate
+         ~stopped_early:(stale t))
 
-let random_candidate t =
-  match t.candidates with
-  | Some c -> c.(Prng.Rng.int t.rng (Array.length c))
-  | None -> Param.Space.random_config t.c_space t.rng
 
-let draw_fresh t =
-  let rec attempt i =
-    let c = random_candidate t in
-    if (not (Param.Config.Table.mem t.seen c)) || i >= max_init_redraws then (c, i)
-    else attempt (i + 1)
-  in
-  attempt 0
+(* The recorded verdict a suggestion retraces. A [Sync] suggestion
+   completes at index [completed] (nothing else is pending), so it is
+   checked against the record before anything evaluates it. *)
+let recorded t config =
+  (match t.mode with
+  | Sync
+    when t.completed < Array.length t.replay
+         && not (Param.Config.equal (fst t.replay.(t.completed)) config) ->
+      failwith divergence_msg
+  | Sync | Async _ -> ());
+  Param.Config.Table.find_opt t.replay_index config
 
 let issue t ~at ~guided config =
   Param.Config.Table.replace t.seen config ();
   let id = t.submitted in
   t.submitted <- id + 1;
-  let sug = { id; config; guided } in
+  let sug = { id; config; guided; recorded = recorded t config } in
   t.pend <- { p_sug = sug; p_t0 = Telemetry.Trace.now t.telemetry } :: t.pend;
   (match t.mode with
-  | Async _ ->
-      if Telemetry.Trace.enabled t.telemetry then
-        Telemetry.Trace.emit t.telemetry
-          (Telemetry.Event.Submit { index = id; in_flight = List.length t.pend; sim_time = at })
+  | Async _ -> Ledger.submit t.ledger ~index:id ~in_flight:(List.length t.pend) ~at
   | Sync -> ());
   Suggest sug
 
@@ -536,23 +614,31 @@ let refit_and_select t ~k ~extra_bad =
       ~refit:t.refit ~space:t.c_space ~anchor:(anchor t) ~extra_bad obs
   in
   t.final_surrogate <- Some surrogate;
-  select_batch ~telemetry:t.telemetry ~options:t.options ?workers:t.workers
-    ?schedule:t.schedule ~encoded:t.encoded ~compiled ~k ~rng:t.rng ~surrogate
-    ~evaluated:t.seen ()
+  select_batch ~telemetry:t.telemetry ~options:t.options ?workers:t.workers ~encoded:t.encoded
+    ~compiled ~k ~rng:t.rng ~surrogate ~evaluated:t.seen ()
+
+let init_exhausted t = t.init_drawn >= t.n_init || t.pool_exhausted ()
+
+(* One random-init draw: [Some c] to issue, or [None] when the draw was
+   a duplicate and burned its init slot. *)
+let init_draw t =
+  let c, redraws = draw_fresh ~rng:t.rng ~candidates:t.candidates ~space:t.c_space ~seen:t.seen in
+  let duplicate = Param.Config.Table.mem t.seen c in
+  if Telemetry.Trace.enabled t.telemetry then
+    Telemetry.Trace.emit t.telemetry
+      (Telemetry.Event.Init_draw { index = t.init_drawn; redraws; duplicate });
+  t.init_drawn <- t.init_drawn + 1;
+  if duplicate then None else Some c
 
 let rec suggest_sync t ~at =
   if t.pend <> [] then Wait
   else
     match t.phase with
     | Initializing ->
-        if t.init_drawn < t.n_init && not (t.pool_exhausted ()) then begin
-          let c, redraws = draw_fresh t in
-          let duplicate = Param.Config.Table.mem t.seen c in
-          if Telemetry.Trace.enabled t.telemetry then
-            Telemetry.Trace.emit t.telemetry
-              (Telemetry.Event.Init_draw { index = t.init_drawn; redraws; duplicate });
-          t.init_drawn <- t.init_drawn + 1;
-          if duplicate then suggest_sync t ~at else issue t ~at ~guided:false c
+        if not (init_exhausted t) then begin
+          match init_draw t with
+          | Some c -> issue t ~at ~guided:false c
+          | None -> suggest_sync t ~at
         end
         else begin
           t.phase <- Guiding;
@@ -577,7 +663,7 @@ let rec suggest_sync t ~at =
               end
               else begin
                 let k = min t.options.batch_size (t.c_budget - t.completed) in
-                let extra_bad = Array.of_list (List.rev_map fst t.failures_rev) in
+                let extra_bad = Array.of_list (List.rev_map fst t.ledger.Ledger.failures_rev) in
                 match refit_and_select t ~k ~extra_bad with
                 | [] ->
                     finalize t;
@@ -586,8 +672,6 @@ let rec suggest_sync t ~at =
                     t.batch_queue <- batch;
                     suggest_sync t ~at
               end)
-
-let init_exhausted t = t.init_drawn >= t.n_init || t.pool_exhausted ()
 
 let rec suggest_async t ~at ~k =
   if t.no_more || List.length t.pend >= k || t.submitted >= t.c_budget || stale t then
@@ -600,13 +684,9 @@ let rec suggest_async t ~at ~k =
     match t.phase with
     | Initializing ->
         if not (init_exhausted t) then begin
-          let c, redraws = draw_fresh t in
-          let duplicate = Param.Config.Table.mem t.seen c in
-          if Telemetry.Trace.enabled t.telemetry then
-            Telemetry.Trace.emit t.telemetry
-              (Telemetry.Event.Init_draw { index = t.init_drawn; redraws; duplicate });
-          t.init_drawn <- t.init_drawn + 1;
-          if duplicate then suggest_async t ~at ~k else issue t ~at ~guided:false c
+          match init_draw t with
+          | Some c -> issue t ~at ~guided:false c
+          | None -> suggest_async t ~at ~k
         end
         else begin
           (* No [since_improvement] reset here: the async engine never
@@ -629,7 +709,7 @@ let rec suggest_async t ~at ~k =
              empty. *)
           let pending = Array.of_list (List.rev_map (fun p -> p.p_sug.config) t.pend) in
           let extra_bad =
-            Array.append (Array.of_list (List.rev_map fst t.failures_rev)) pending
+            Array.append (Array.of_list (List.rev_map fst t.ledger.Ledger.failures_rev)) pending
           in
           match refit_and_select t ~k:1 ~extra_bad with
           | [] ->
@@ -699,63 +779,37 @@ let report ?(at = 0.) ?eval_ms t ~id verdict =
   if replayed then begin
     let recorded_config, _ = t.replay.(idx) in
     if not (Param.Config.equal recorded_config config) then failwith divergence_msg
-  end;
+  end
+  else if Option.is_some slot.p_sug.recorded then
+    (* A recorded verdict completing beyond the recorded prefix: the
+       completion order no longer matches the log. *)
+    failwith divergence_msg;
   (if not replayed then
      match t.on_outcome with Some f -> f idx config verdict | None -> ());
-  t.attempts_total <- t.attempts_total + verdict.Resilience.Evaluator.attempts;
-  t.retry_cost_total <- t.retry_cost_total +. verdict.Resilience.Evaluator.retry_cost;
+  let dur_ms =
+    match eval_ms with
+    | Some ms -> ms
+    | None -> (Telemetry.Trace.now t.telemetry -. slot.p_t0) *. 1000.
+  in
+  let improved = Ledger.record t.ledger ~index:idx ~replayed ~dur_ms config verdict in
   (match verdict.Resilience.Evaluator.outcome with
-  | Resilience.Outcome.Value y ->
-      t.history_rev <- (config, y) :: t.history_rev;
-      if not slot.p_sug.guided then t.anchor_rev <- (config, y) :: t.anchor_rev;
-      (match t.best_so_far with
-      | Some (_, by) when by <= y -> (
-          (* Sync counts every non-improving completion; async only
-             guided ones — the init phase there overlaps with guided
-             completions and must not poison the counter. *)
-          match t.mode with
-          | Sync -> t.since_improvement <- t.since_improvement + 1
-          | Async _ ->
-              if slot.p_sug.guided then t.since_improvement <- t.since_improvement + 1)
-      | Some _ | None ->
-          t.best_so_far <- Some (config, y);
-          t.since_improvement <- 0);
-      t.trajectory_rev <- snd (Option.get t.best_so_far) :: t.trajectory_rev
-  | failure -> (
-      t.failures_rev <- (config, failure) :: t.failures_rev;
-      match t.mode with
-      | Sync -> t.since_improvement <- t.since_improvement + 1
-      | Async _ -> if slot.p_sug.guided then t.since_improvement <- t.since_improvement + 1));
-  if Telemetry.Trace.enabled t.telemetry then begin
-    let outcome = verdict.Resilience.Evaluator.outcome in
-    let dur_ms =
-      match eval_ms with
-      | Some ms -> ms
-      | None -> (Telemetry.Trace.now t.telemetry -. slot.p_t0) *. 1000.
-    in
-    Telemetry.Trace.emit t.telemetry
-      (Telemetry.Event.Eval
-         {
-           index = idx;
-           kind = Resilience.Outcome.kind outcome;
-           value = Resilience.Outcome.value outcome;
-           attempts = verdict.Resilience.Evaluator.attempts;
-           retry_cost = verdict.Resilience.Evaluator.retry_cost;
-           replayed;
-           dur_ms;
-         });
+  | Resilience.Outcome.Value y when not slot.p_sug.guided ->
+      t.anchor_rev <- (config, y) :: t.anchor_rev
+  | _ -> ());
+  (* Sync counts every non-improving completion; async only guided
+     ones — the init phase there overlaps with guided completions and
+     must not poison the counter. *)
+  if improved then t.since_improvement <- 0
+  else begin
     match t.mode with
-    | Async _ ->
-        Telemetry.Trace.emit t.telemetry
-          (Telemetry.Event.Complete
-             {
-               index = idx;
-               in_flight = List.length t.pend;
-               sim_time = at;
-               kind = Resilience.Outcome.kind outcome;
-             })
-    | Sync -> ()
+    | Sync -> t.since_improvement <- t.since_improvement + 1
+    | Async _ -> if slot.p_sug.guided then t.since_improvement <- t.since_improvement + 1
   end;
+  (match t.mode with
+  | Async _ ->
+      Ledger.complete t.ledger ~index:idx ~in_flight:(List.length t.pend) ~at
+        (Resilience.Outcome.kind verdict.Resilience.Evaluator.outcome)
+  | Sync -> ());
   t.completed <- idx + 1;
   settle t
 
@@ -769,7 +823,7 @@ let n_evaluated t = t.completed
 let n_submitted t = t.submitted
 let n_pending t = List.length t.pend
 let pending t = List.rev_map (fun p -> p.p_sug) t.pend
-let best t = t.best_so_far
+let best t = t.ledger.Ledger.best
 let space t = t.c_space
 let budget t = t.c_budget
 let mode t = t.mode
@@ -804,14 +858,14 @@ let fast_forward t =
   loop ()
 
 let of_log ?telemetry ?options ?(policy = Resilience.Policy.default) ?warm_start ?candidates
-    ?shared_pool ?on_outcome ?on_gate ?pool ?schedule ~mode ~log ~budget () =
+    ?shared_pool ?on_outcome ?on_gate ?pool ~mode ~log ~budget () =
   let replay = replay_of_log ~policy log in
   if Array.length replay > budget then
     invalid_arg "Tuner.resume: budget is smaller than the recorded evaluation count";
   let rng = Prng.Rng.create log.Dataset.Runlog.seed in
   let t =
     create ?telemetry ?options ?warm_start ?candidates ?shared_pool ?on_outcome ?on_gate
-      ~recorded_gates:log.Dataset.Runlog.gates ~replay ?pool ?schedule ~mode ~rng
+      ~recorded_gates:log.Dataset.Runlog.gates ~replay ?pool ~mode ~rng
       ~space:log.Dataset.Runlog.space ~budget ()
   in
   fast_forward t;

@@ -1,17 +1,22 @@
 (** The campaign state machine: one tuning run as an explicit,
     reentrant suggest/report step process.
 
-    Every engine in the library — the blocking {!Tuner} entry points
-    (one driver loop for both [Sync] and [Async k]), the
-    multi-fidelity scheduler, and the multi-tenant {!Serve} front
-    end — is a {e driver} over this module: a thin
-    loop that asks the campaign what to evaluate next ({!suggest}),
-    obtains a verdict however it likes (inline call, worker domain,
-    remote client), and hands it back ({!report}). Neither step ever
-    blocks; all campaign state — init draws, refit/gate progress,
-    the pending set, replay verification — lives in the handle, so
-    any number of campaigns can interleave in one process and a
-    campaign can be parked indefinitely between steps.
+    The blocking {!Tuner} entry points (one driver loop for both
+    [Sync] and [Async k]) and the multi-tenant {!Serve} front end are
+    {e drivers} over this module: a thin loop that asks the campaign
+    what to evaluate next ({!suggest}), obtains a verdict however it
+    likes (inline call, worker domain, remote client), and hands it
+    back ({!report}). Neither step ever blocks; all campaign state —
+    init draws, refit/gate progress, the pending set, replay
+    verification — lives in the handle, so any number of campaigns
+    can interleave in one process and a campaign can be parked
+    indefinitely between steps.
+
+    The multi-fidelity scheduler ({!Fidelity}) is a step machine with
+    the same contract, run by the same {!Tuner.drive} loop, but not a
+    campaign: a bracket ranks its whole cohort at once and promotes
+    survivors rung by rung. It shares {!draw_fresh}, {!encode_pool}
+    and the completion {!Ledger} with this module.
 
     The machine is bit-identical to the recursive engines it
     replaced: driving it with the same rng seed, options, and
@@ -85,6 +90,10 @@ type suggestion = {
   id : int;  (** submission ordinal; the key {!report} expects back *)
   config : Param.Config.t;
   guided : bool;  (** [false] for random-init suggestions *)
+  recorded : Resilience.Evaluator.verdict option;
+      (** the verdict a resumed campaign recorded for this
+          configuration, to hand back instead of evaluating; {!report}
+          checks that it completes where the record says *)
 }
 
 type step =
@@ -107,7 +116,6 @@ val create :
   ?recorded_gates:Dataset.Runlog.gate array ->
   ?replay:(Param.Config.t * Resilience.Evaluator.verdict) array ->
   ?pool:Parallel.Pool.t ->
-  ?schedule:Parallel.Pool.schedule ->
   mode:mode ->
   rng:Prng.Rng.t ->
   space:Param.Space.t ->
@@ -143,7 +151,9 @@ val suggest : ?at:float -> t -> step
     observations to fit on yet. [at] is the submission timestamp
     recorded in async [Submit] telemetry (simulated clock in the
     async engine, wall clock in a server); it does not affect
-    campaign decisions. *)
+    campaign decisions. While a [Sync] campaign retraces its replay
+    record, a suggestion that departs from it raises [Failure] here,
+    before anything evaluates it. *)
 
 val report : ?at:float -> ?eval_ms:float -> t -> id:int -> Resilience.Evaluator.verdict -> unit
 (** Hand back the verdict for pending suggestion [id]: bookkeeping,
@@ -182,6 +192,66 @@ val space : t -> Param.Space.t
 val budget : t -> int
 val mode : t -> mode
 
+(** {2 Shared with the multi-fidelity scheduler} *)
+
+val draw_fresh :
+  rng:Prng.Rng.t ->
+  candidates:Param.Config.t array option ->
+  space:Param.Space.t ->
+  seen:unit Param.Config.Table.t ->
+  Param.Config.t * int
+(** A uniform draw from [candidates] (or the space) not in [seen],
+    redrawn at most 50 times: the last draw (a duplicate if every
+    redraw was) and the redraw count. *)
+
+val encode_pool :
+  who:string -> space:Param.Space.t -> Param.Config.t array option -> Surrogate.Pool.t
+(** The validated, index-encoded candidates, or a virtual pool over a
+    finite space; [Invalid_argument] messages start with [who]. *)
+
+(** A campaign's completion record and the telemetry that frames it:
+    [Campaign_start] at [create], [Submit]/[Complete], one [Eval] per
+    [record], [Campaign_end] at [close]. *)
+module Ledger : sig
+  type t
+
+  val create :
+    telemetry:Telemetry.Trace.t ->
+    t0:float ->
+    budget:int ->
+    n_init:int ->
+    batch_size:int ->
+    n_warm:int ->
+    n_replay:int ->
+    t
+
+  val tally : t -> Resilience.Evaluator.verdict -> unit
+  (** Count attempts and retry cost only. *)
+
+  val record :
+    t ->
+    index:int ->
+    replayed:bool ->
+    dur_ms:float ->
+    Param.Config.t ->
+    Resilience.Evaluator.verdict ->
+    bool
+  (** {!tally}, append to the history (or failures), best and
+      trajectory, and emit [Eval]; [true] iff the best improved. *)
+
+  val history : t -> (Param.Config.t * float) array
+  val submit : t -> index:int -> in_flight:int -> at:float -> unit
+  val complete : t -> index:int -> in_flight:int -> at:float -> string -> unit
+
+  val close :
+    t ->
+    evaluations:int ->
+    final_surrogate:Surrogate.t option ->
+    stopped_early:bool ->
+    (result, run_error) Stdlib.result
+  (** Emit [Campaign_end]; [Error] when nothing succeeded. *)
+end
+
 (** {2 Resume} *)
 
 val divergence_msg : string
@@ -207,7 +277,6 @@ val of_log :
   ?on_outcome:(int -> Param.Config.t -> Resilience.Evaluator.verdict -> unit) ->
   ?on_gate:(Dataset.Runlog.gate -> unit) ->
   ?pool:Parallel.Pool.t ->
-  ?schedule:Parallel.Pool.schedule ->
   mode:mode ->
   log:Dataset.Runlog.t ->
   budget:int ->

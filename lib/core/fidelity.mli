@@ -11,12 +11,18 @@
     the same channel transfer learning uses ({!Surrogate.fit}'s
     [priors]), so the exact observations stay exact.
 
-    The scheduler composes with the asynchronous engine's simulated
-    clock: up to [k] evaluations are in flight at once, a rung-[r]
-    evaluation completes [plan.costs.(r)] simulated units after
-    submission (ties break toward the earlier submission), and all
-    bracket decisions are driven by that clock — never wall time —
-    so a campaign is bit-reproducible from its seed. *)
+    The scheduler is a step machine with {!Campaign}'s contract,
+    run by the same driver loop as every blocking engine
+    ({!Tuner.drive}): up to [k] evaluations are in flight at once, a
+    rung-[r] evaluation completes [plan.costs.(r)] simulated units
+    after submission (ties break toward the earlier submission), and
+    all bracket decisions follow that clock — never wall time — so a
+    campaign is bit-reproducible from its seed. It owns the plan, the
+    rung queues, bracket seeding, promotion, cost accounting and the
+    verification of the recorded [#fid]/[#rung] streams; it shares
+    {!Campaign}'s random draw with dedup, candidate encoding and
+    completion {!Campaign.Ledger} (top-rung history, best,
+    trajectory and campaign telemetry). *)
 
 type plan = {
   costs : float array;
@@ -82,7 +88,6 @@ val run :
   ?recorded_rungs:Dataset.Runlog.rung array ->
   ?replay:(Param.Config.t * float) array ->
   ?pool:Parallel.Pool.t ->
-  ?schedule:Parallel.Pool.schedule ->
   plan:plan ->
   k:int ->
   rng:Prng.Rng.t ->
@@ -115,10 +120,12 @@ val run :
     evidence internally.
 
     {b Scheduling.} Slots fill from the lowest rung with queued
-    work. A rung closes when every configuration that entered it has
-    completed; the closure sorts results ascending (stable on
-    completion order), promotes the best [ceil (n / eta)] (at least
-    one) to the next rung, and abandons the rest. Each closure of a
+    work; evaluations run on the calling domain ([pool] only
+    parallelizes the seeding rank). A rung closes when every
+    configuration that entered it has completed; the closure sorts
+    results ascending (stable on completion order), promotes the best
+    [ceil (n / eta)] (at least one) to the next rung, and abandons
+    the rest. Each closure of a
     non-top rung emits a [Promote] (and, when anything was dropped,
     a [Demote]) telemetry event and one {!Dataset.Runlog.rung}
     record through [on_rung].
@@ -146,7 +153,6 @@ val resume :
   ?on_fid:(Dataset.Runlog.fid -> unit) ->
   ?on_rung:(Dataset.Runlog.rung -> unit) ->
   ?pool:Parallel.Pool.t ->
-  ?schedule:Parallel.Pool.schedule ->
   plan:plan ->
   k:int ->
   log:Dataset.Runlog.t ->

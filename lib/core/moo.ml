@@ -72,11 +72,11 @@ let wrap ?on_vector ~moo campaign =
     m_on_vector = on_vector;
   }
 
-let create ?telemetry ?options ?on_outcome ?on_gate ?on_vector ?pool ?schedule ~moo ~mode ~rng
+let create ?telemetry ?options ?on_outcome ?on_gate ?on_vector ?pool ~moo ~mode ~rng
     ~space ~budget () =
   validate_options moo;
   wrap ?on_vector ~moo
-    (Campaign.create ?telemetry ?options ?on_outcome ?on_gate ?pool ?schedule ~mode ~rng ~space
+    (Campaign.create ?telemetry ?options ?on_outcome ?on_gate ?pool ~mode ~rng ~space
        ~budget ())
 
 let campaign t = t.m_campaign
@@ -141,7 +141,7 @@ let objs_of_log (log : Dataset.Runlog.t) =
     log.Dataset.Runlog.objs;
   tbl
 
-let of_log ?telemetry ?options ?policy ?on_outcome ?on_gate ?on_vector ?pool ?schedule ~moo ~mode
+let of_log ?telemetry ?options ?policy ?on_outcome ?on_gate ?on_vector ?pool ~moo ~mode
     ~log ~budget () =
   validate_options moo;
   let vectors = objs_of_log log in
@@ -163,7 +163,7 @@ let of_log ?telemetry ?options ?policy ?on_outcome ?on_gate ?on_vector ?pool ?sc
               if not (Float.equal (scalarise moo v) y) then failwith Campaign.divergence_msg))
     log.Dataset.Runlog.entries;
   let campaign =
-    Campaign.of_log ?telemetry ?options ?policy ?on_outcome ?on_gate ?pool ?schedule ~mode ~log
+    Campaign.of_log ?telemetry ?options ?policy ?on_outcome ?on_gate ?pool ~mode ~log
       ~budget ()
   in
   let t = wrap ?on_vector ~moo campaign in

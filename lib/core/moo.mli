@@ -56,7 +56,6 @@ val create :
   ?on_gate:(Dataset.Runlog.gate -> unit) ->
   ?on_vector:(int -> float array -> unit) ->
   ?pool:Parallel.Pool.t ->
-  ?schedule:Parallel.Pool.schedule ->
   moo:options ->
   mode:Campaign.mode ->
   rng:Prng.Rng.t ->
@@ -114,7 +113,6 @@ val of_log :
   ?on_gate:(Dataset.Runlog.gate -> unit) ->
   ?on_vector:(int -> float array -> unit) ->
   ?pool:Parallel.Pool.t ->
-  ?schedule:Parallel.Pool.schedule ->
   moo:options ->
   mode:Campaign.mode ->
   log:Dataset.Runlog.t ->

@@ -154,15 +154,6 @@ let default_parallel_threshold = 32768
    8 bytes keeps the score buffer inside L1/L2. *)
 let scan_chunk = 4096
 
-let schedule_label workers schedule =
-  match workers with
-  | None -> "seq"
-  | Some _ -> (
-      match schedule with
-      | None | Some Parallel.Pool.Static -> "static"
-      | Some (Parallel.Pool.Dynamic c) -> Printf.sprintf "dynamic:%d" c
-      | Some Parallel.Pool.Guided -> "guided")
-
 (* Score rows [lo, hi) through the compiled table into [buf] and fold
    the unexcluded ones into [top]. The admission pre-check repeats
    {!Topk_stream.offer}'s comparison inline against plain record
@@ -298,7 +289,7 @@ let select_indices_seq compiled keep ~k ~n =
   scan_indices compiled keep top ~n ~lo:0 ~hi:n None;
   Topk_stream.to_desc top
 
-let select_indices_par compiled keep ~k ~n ~workers ?schedule () =
+let select_indices_par compiled keep ~k ~n ~workers =
   let n_chunks = (n + scan_chunk - 1) / scan_chunk in
   let shared =
     match Surrogate.Pool.radices (Surrogate.Compiled.pool compiled) with
@@ -306,7 +297,7 @@ let select_indices_par compiled keep ~k ~n ~workers ?schedule () =
     | None -> None
   in
   let best =
-    Parallel.Pool.parallel_for_reduce workers ?schedule ~lo:0 ~hi:n_chunks ~init:[]
+    Parallel.Pool.parallel_for_reduce workers ~lo:0 ~hi:n_chunks ~init:[]
       ~combine:(fun a b -> merge_desc k a b)
       (fun ci ->
         let lo = ci * scan_chunk in
@@ -326,7 +317,7 @@ let select_indices_par compiled keep ~k ~n ~workers ?schedule () =
    would dominate the scan; the evaluated side is small). The mask is
    written before the scan and only read during it, so the parallel
    loop touches no shared mutable state. *)
-let select_ranking_exhaustive ~telemetry ~workers ~schedule ~parallel_threshold ~compiled ~k
+let select_ranking_exhaustive ~telemetry ~workers ~parallel_threshold ~compiled ~k
     ~surrogate ~encoded ~evaluated =
   let compiled =
     match compiled with
@@ -356,7 +347,7 @@ let select_ranking_exhaustive ~telemetry ~workers ~schedule ~parallel_threshold 
   let ranked =
     match workers with
     | None -> select_indices_seq compiled keep ~k ~n
-    | Some w -> select_indices_par compiled keep ~k ~n ~workers:w ?schedule ()
+    | Some w -> select_indices_par compiled keep ~k ~n ~workers:w
   in
   let selected = List.map (fun (_, i) -> Surrogate.Pool.config encoded i) ranked in
   if Telemetry.Trace.enabled telemetry then
@@ -367,18 +358,18 @@ let select_ranking_exhaustive ~telemetry ~workers ~schedule ~parallel_threshold 
            k;
            selected = List.length selected;
            workers = (match workers with None -> 1 | Some w -> Parallel.Pool.size w);
-           schedule = schedule_label workers schedule;
+           schedule = (match workers with None -> "seq" | Some _ -> "static");
            dur_ms = (Telemetry.Trace.now telemetry -. t0) *. 1000.;
          });
   selected
 
-let select_many_encoded ?(telemetry = Telemetry.Trace.disabled) ?workers ?schedule
+let select_many_encoded ?(telemetry = Telemetry.Trace.disabled) ?workers
     ?(parallel_threshold = default_parallel_threshold) ?compiled ~k ~surrogate ~encoded
     ~evaluated () =
   if k < 1 then invalid_arg "Strategy.select_many: k must be at least 1";
   if parallel_threshold < 0 then
     invalid_arg "Strategy.select_many: negative parallel_threshold";
-  select_ranking_exhaustive ~telemetry ~workers ~schedule ~parallel_threshold ~compiled ~k
+  select_ranking_exhaustive ~telemetry ~workers ~parallel_threshold ~compiled ~k
     ~surrogate ~encoded ~evaluated
 
 let select_many_proposal ~k ~rng ~surrogate ~evaluated ~n_candidates =
@@ -410,22 +401,22 @@ let select_many_proposal ~k ~rng ~surrogate ~evaluated ~n_candidates =
   in
   pick [] k
 
-let select_many ?telemetry ?workers ?schedule ?parallel_threshold ?encoded t ~k ~rng
+let select_many ?telemetry ?workers ?parallel_threshold ?encoded t ~k ~rng
     ~surrogate ~pool ~evaluated =
   if k < 1 then invalid_arg "Strategy.select_many: k must be at least 1";
   match t with
   | Ranking ->
       let encoded = ranking_encoded ~surrogate ~pool ~encoded in
-      select_many_encoded ?telemetry ?workers ?schedule ?parallel_threshold ~k ~surrogate
+      select_many_encoded ?telemetry ?workers ?parallel_threshold ~k ~surrogate
         ~encoded ~evaluated ()
   | Proposal { n_candidates } ->
       if n_candidates <= 0 then invalid_arg "Strategy.select: non-positive candidate count";
       select_many_proposal ~k ~rng ~surrogate ~evaluated ~n_candidates
 
-let select ?telemetry ?workers ?schedule ?parallel_threshold ?encoded t ~rng
+let select ?telemetry ?workers ?parallel_threshold ?encoded t ~rng
     ~surrogate ~pool ~evaluated =
   match
-    select_many ?telemetry ?workers ?schedule ?parallel_threshold ?encoded t ~k:1
+    select_many ?telemetry ?workers ?parallel_threshold ?encoded t ~k:1
       ~rng ~surrogate ~pool ~evaluated
   with
   | [] -> None

@@ -83,7 +83,6 @@ val default_parallel_threshold : int
 val select :
   ?telemetry:Telemetry.Trace.t ->
   ?workers:Parallel.Pool.t ->
-  ?schedule:Parallel.Pool.schedule ->
   ?parallel_threshold:int ->
   ?encoded:Surrogate.Pool.t ->
   t ->
@@ -103,7 +102,6 @@ val select :
 val select_many :
   ?telemetry:Telemetry.Trace.t ->
   ?workers:Parallel.Pool.t ->
-  ?schedule:Parallel.Pool.schedule ->
   ?parallel_threshold:int ->
   ?encoded:Surrogate.Pool.t ->
   t ->
@@ -124,7 +122,7 @@ val select_many :
     {!Topk_stream} accumulators merged associatively; because chunk
     boundaries depend only on the pool size and ties break on the
     pool index, the result is bit-identical to the sequential scan
-    for every [schedule] and worker count. Pools smaller than
+    for every worker count. Pools smaller than
     [parallel_threshold] (default {!default_parallel_threshold})
     always scan sequentially. [encoded] supplies the index-encoded
     pool (built once per campaign with {!Surrogate.Pool.encode}); it
@@ -140,7 +138,6 @@ val select_many :
 val select_many_encoded :
   ?telemetry:Telemetry.Trace.t ->
   ?workers:Parallel.Pool.t ->
-  ?schedule:Parallel.Pool.schedule ->
   ?parallel_threshold:int ->
   ?compiled:Surrogate.Compiled.t ->
   k:int ->

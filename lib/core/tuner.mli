@@ -112,7 +112,6 @@ val run :
   ?on_evaluation:(int -> Param.Config.t -> float -> unit) ->
   ?on_gate:(Dataset.Runlog.gate -> unit) ->
   ?pool:Parallel.Pool.t ->
-  ?schedule:Parallel.Pool.schedule ->
   rng:Prng.Rng.t ->
   space:Param.Space.t ->
   objective:(Param.Config.t -> float) ->
@@ -127,12 +126,11 @@ val run :
     objective is called inline, once per configuration, with no retry
     policy (so a trace carries no [Attempt] events).
 
-    [pool] parallelizes candidate ranking across a domain pool (with
-    an optional [schedule]); because ties break on the candidate's
-    pool index, selections — and therefore the whole campaign — are
-    bit-identical to the sequential run for every worker count and
-    schedule. Ranking consumes no rng, so the random stream is
-    untouched too.
+    [pool] parallelizes candidate ranking across a domain pool;
+    because ties break on the candidate's pool index, selections —
+    and therefore the whole campaign — are bit-identical to the
+    sequential run for every worker count. Ranking consumes no rng,
+    so the random stream is untouched too.
 
     [candidates] restricts both initialization and selection to an
     explicit configuration set — e.g. the measured rows of a study
@@ -179,7 +177,6 @@ val run_with_policy :
   ?recorded_gates:Dataset.Runlog.gate array ->
   ?replay:(Param.Config.t * Resilience.Evaluator.verdict) array ->
   ?pool:Parallel.Pool.t ->
-  ?schedule:Parallel.Pool.schedule ->
   ?duration:(Param.Config.t -> Resilience.Evaluator.verdict -> float) ->
   rng:Prng.Rng.t ->
   space:Param.Space.t ->
@@ -254,7 +251,6 @@ val resume :
   ?on_outcome:(int -> Param.Config.t -> Resilience.Evaluator.verdict -> unit) ->
   ?on_gate:(Dataset.Runlog.gate -> unit) ->
   ?pool:Parallel.Pool.t ->
-  ?schedule:Parallel.Pool.schedule ->
   ?duration:(Param.Config.t -> Resilience.Evaluator.verdict -> float) ->
   log:Dataset.Runlog.t ->
   objective:(attempt:int -> Param.Config.t -> Resilience.Outcome.t) ->
@@ -278,3 +274,29 @@ val resume :
     reproduces — and the log's recorded [#gate] decisions are verified
     as a prefix of the recomputed stream ([Failure] on mismatch), with
     [on_gate] firing only for decisions beyond the recorded prefix. *)
+
+(** {2 The driver loop} *)
+
+val drive :
+  telemetry:Telemetry.Trace.t ->
+  workers:Parallel.Pool.t option ->
+  duration:(Campaign.suggestion -> Resilience.Evaluator.verdict Lazy.t -> float) ->
+  evaluate:
+    (?probe:(attempt:int -> backoff:float -> Resilience.Outcome.t -> unit) ->
+    Campaign.suggestion ->
+    Resilience.Evaluator.verdict) ->
+  suggest:(at:float -> Campaign.step) ->
+  report:(at:float -> eval_ms:float -> id:int -> Resilience.Evaluator.verdict -> unit) ->
+  result:(unit -> 'r) ->
+  'r
+(** The one driver loop of every blocking engine, over a step machine
+    — a {!Campaign}, or [Fidelity]'s rung scheduler — given by its
+    [suggest], [report] and [result]. It keeps the machine's in-flight
+    set full and completes suggestions in simulated-clock order —
+    [duration s v] after submission, ties to the smaller id, forcing
+    [v] only if [duration] reads it — until the machine finishes. A
+    suggestion's [recorded] verdict is handed back as is (the machine
+    checks its completion order when it is reported); any other is
+    evaluated on a [workers] domain when issued, or inline on the
+    calling domain. [Attempt] events are emitted at completion from
+    the calling domain. *)

@@ -10,13 +10,6 @@ let ulp_diff a b =
 
 let same_configs a b = List.length a = List.length b && List.for_all2 Param.Config.equal a b
 
-let schedules = [ Parallel.Pool.Static; Parallel.Pool.Dynamic 4; Parallel.Pool.Guided ]
-
-let schedule_label = function
-  | Parallel.Pool.Static -> "static"
-  | Parallel.Pool.Dynamic n -> Printf.sprintf "dynamic-%d" n
-  | Parallel.Pool.Guided -> "guided"
-
 (* ---- compiled scorer vs naive scorer ---- *)
 
 (* Random space, observations, priors, extra_bad, and both bandwidth
@@ -110,21 +103,16 @@ let test_parallel_select_matches_sequential () =
   List.iter
     (fun num_domains ->
       Parallel.Pool.with_pool ~num_domains (fun workers ->
-          List.iter
-            (fun schedule ->
-              let got =
-                (* ~parallel_threshold:0: the pool is far below the
-                   default threshold, which would silently force the
-                   sequential path and test nothing. *)
-                Hiperbot.Strategy.select_many ~workers ~schedule ~parallel_threshold:0 ~encoded
-                  Hiperbot.Strategy.Ranking ~k:7 ~rng ~surrogate ~pool ~evaluated
-              in
-              check Alcotest.bool
-                (Printf.sprintf "parallel(%d domains, %s) = sequential" num_domains
-                   (schedule_label schedule))
-                true
-                (same_configs sequential got))
-            schedules))
+          let got =
+            (* ~parallel_threshold:0: the pool is far below the default
+               threshold, which would silently force the sequential
+               path and test nothing. *)
+            Hiperbot.Strategy.select_many ~workers ~parallel_threshold:0 ~encoded
+              Hiperbot.Strategy.Ranking ~k:7 ~rng ~surrogate ~pool ~evaluated
+          in
+          check Alcotest.bool
+            (Printf.sprintf "parallel(%d domains) = sequential" num_domains)
+            true (same_configs sequential got)))
     [ 0; 1; 3 ]
 
 (* ---- Topk tie-breaking ---- *)
@@ -172,16 +160,11 @@ let test_all_equal_scores_select_pool_order () =
   in
   check Alcotest.bool "sequential: first k in pool order" true (same_configs expected got);
   Parallel.Pool.with_pool ~num_domains:3 (fun workers ->
-      List.iter
-        (fun schedule ->
-          let got =
-            Hiperbot.Strategy.select_many ~workers ~schedule ~parallel_threshold:0
-              Hiperbot.Strategy.Ranking ~k:4 ~rng ~surrogate ~pool ~evaluated
-          in
-          check Alcotest.bool
-            (Printf.sprintf "parallel %s: first k in pool order" (schedule_label schedule))
-            true (same_configs expected got))
-        schedules)
+      let got =
+        Hiperbot.Strategy.select_many ~workers ~parallel_threshold:0 Hiperbot.Strategy.Ranking
+          ~k:4 ~rng ~surrogate ~pool ~evaluated
+      in
+      check Alcotest.bool "parallel: first k in pool order" true (same_configs expected got))
 
 (* ---- shared density floor ---- *)
 
@@ -225,22 +208,18 @@ let same_result (a : Hiperbot.Tuner.result) (b : Hiperbot.Tuner.result) =
   && a.Hiperbot.Tuner.trajectory = b.Hiperbot.Tuner.trajectory
 
 let test_parallel_campaign_matches_sequential () =
-  let run pool schedule =
-    Hiperbot.Tuner.run ~options:tuner_options ?pool ?schedule ~rng:(Prng.Rng.create 42)
-      ~space:space3 ~objective:objective3 ~budget:20 ()
+  let run pool =
+    Hiperbot.Tuner.run ~options:tuner_options ?pool ~rng:(Prng.Rng.create 42) ~space:space3
+      ~objective:objective3 ~budget:20 ()
   in
-  let sequential = run None None in
+  let sequential = run None in
   List.iter
     (fun num_domains ->
       Parallel.Pool.with_pool ~num_domains (fun workers ->
-          List.iter
-            (fun schedule ->
-              check Alcotest.bool
-                (Printf.sprintf "campaign(%d domains, %s) = sequential" num_domains
-                   (schedule_label schedule))
-                true
-                (same_result sequential (run (Some workers) (Some schedule))))
-            schedules))
+          check Alcotest.bool
+            (Printf.sprintf "campaign(%d domains) = sequential" num_domains)
+            true
+            (same_result sequential (run (Some workers)))))
     [ 1; 3 ]
 
 (* Interrupt a parallel campaign after [cut] evaluations, then resume
@@ -444,7 +423,7 @@ let test_init_exits_early_when_pool_covered () =
 let suite =
   ( "compiled",
     [
-      Alcotest.test_case "parallel select = sequential (domains x schedules)" `Quick
+      Alcotest.test_case "parallel select = sequential (domain counts)" `Quick
         test_parallel_select_matches_sequential;
       Alcotest.test_case "topk ties break on index / insertion order" `Quick
         test_topk_ties_break_on_index;

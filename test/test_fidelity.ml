@@ -227,6 +227,44 @@ let test_multi_bracket () =
         (scaled_objective ~rung:2 c) v)
     res.Fidelity.run.Tuner.history
 
+(* ---- golden record stream ---- *)
+
+(* Rung-dependent distortion of the hash objective: low rungs rank
+   configurations imperfectly, so promotions are not foregone. *)
+let noisy_objective ~rung config =
+  let h = Gen.hash_objective config in
+  h *. (1. +. (float_of_int ((Param.Config.hash config * (rung + 3)) land 7) /. 14.))
+
+(* The persisted stream of a multi-rung run, one line per callback in
+   firing order ([E]ntry, [F]id, [R]ung; floats in hex so the text is
+   exact), then a summary line of the result. *)
+let record_stream ~plan ~k ~seed ~budget =
+  let space = Gen.wide_space in
+  let b = Buffer.create 4096 in
+  let cfg c = Param.Space.to_string space c in
+  let on_eval i c v = Printf.bprintf b "E %d %h %s\n" i v (cfg c) in
+  let on_fid (f : Dataset.Runlog.fid) =
+    Printf.bprintf b "F %d %d %h %s\n" f.Dataset.Runlog.f_bracket f.Dataset.Runlog.f_rung
+      f.Dataset.Runlog.f_value (cfg f.Dataset.Runlog.f_config)
+  in
+  let on_rung (r : Dataset.Runlog.rung) =
+    Printf.bprintf b "R %d %d %d %d %h\n" r.Dataset.Runlog.r_bracket r.Dataset.Runlog.r_rung
+      r.Dataset.Runlog.r_evaluated r.Dataset.Runlog.r_promoted r.Dataset.Runlog.r_best
+  in
+  (match
+     Fidelity.run ~on_eval ~on_fid ~on_rung ~plan ~k ~rng:(Prng.Rng.create seed) ~space
+       ~objective:noisy_objective ~budget ()
+   with
+  | Stdlib.Ok r ->
+      Printf.bprintf b "= best %h %s cost %h rungs %s promoted %s brackets %d attempts %d\n"
+        r.Fidelity.run.Tuner.best_value (cfg r.Fidelity.run.Tuner.best_config)
+        r.Fidelity.total_cost
+        (String.concat "/" (Array.to_list (Array.map string_of_int r.Fidelity.rung_evals)))
+        (String.concat "/" (Array.to_list (Array.map string_of_int r.Fidelity.n_promoted)))
+        r.Fidelity.n_brackets r.Fidelity.run.Tuner.n_attempts
+  | Stdlib.Error e -> Printf.bprintf b "= error attempts %d\n" e.Tuner.error_attempts);
+  Buffer.contents b
+
 (* ---- interrupt / resume ---- *)
 
 type recorded =
@@ -234,7 +272,8 @@ type recorded =
   | F of Dataset.Runlog.fid
   | R of Dataset.Runlog.rung
 
-let record_run ?recorded_log ~plan ~k ~seed ~space ~objective ~budget () =
+(* A run or resume with its persisted record stream, in firing order. *)
+let record_result ?recorded_log ~plan ~k ~seed ~space ~objective ~budget () =
   let events = ref [] in
   let on_eval index config value =
     events :=
@@ -250,7 +289,13 @@ let record_run ?recorded_log ~plan ~k ~seed ~space ~objective ~budget () =
           ~objective ~budget ()
     | Some log -> Fidelity.resume ~on_eval ~on_fid ~on_rung ~plan ~k ~log ~objective ~budget ()
   in
-  (fid_result res, List.rev !events)
+  (res, List.rev !events)
+
+let record_run ?recorded_log ~plan ~k ~seed ~space ~objective ~budget () =
+  let res, events =
+    record_result ?recorded_log ~plan ~k ~seed ~space ~objective ~budget ()
+  in
+  (fid_result res, events)
 
 let log_of_events ~seed ~space events =
   let entries = List.filter_map (function E e -> Some e | _ -> None) events in
@@ -354,24 +399,119 @@ let test_resume_divergence_fails () =
   expect_failure "single-rung plan" (fun () ->
       resume_with ~plan:{ three_rung_plan with costs = [| 1. |] } events)
 
+(* Random plans: ladder depth, cohort, eta, bracket count and an
+   optional cost budget (tight ones end a campaign mid-bracket or with
+   no full-fidelity evaluation at all, the [Error] case), with k in
+   [1, 4] evaluations in flight. *)
+let plan_gen =
+  let open QCheck2.Gen in
+  let* costs = oneofl [ [| 0.25; 1. |]; [| 0.25; 0.5; 1. |]; [| 0.125; 0.25; 0.5; 1. |] ] in
+  let* cohort = int_range 1 12 in
+  let* eta = oneofl [ 1.5; 2.; 3.; 4. ] in
+  let* brackets = int_range 1 4 in
+  let* cost_budget = opt (float_range 1. 30.) in
+  return { Fidelity.costs; eta; cohort; brackets; low_weight = 0.25; cost_budget }
+
+let print_plan (p : Fidelity.plan) =
+  Printf.sprintf "costs=%d eta=%g cohort=%d brackets=%d cost_budget=%s"
+    (Array.length p.Fidelity.costs) p.Fidelity.eta p.Fidelity.cohort p.Fidelity.brackets
+    (match p.Fidelity.cost_budget with Some c -> Printf.sprintf "%g" c | None -> "none")
+
 let prop_resume_bitexact =
-  QCheck2.Test.make ~name:"resume from any cut point is bit-identical" ~count:25
-    ~print:(fun (seed, cut) -> Printf.sprintf "seed=%d cut=%d" seed cut)
-    (QCheck2.Gen.pair Gen.seed_gen (QCheck2.Gen.int_range 0 40))
-    (fun (seed, cut) ->
+  QCheck2.Test.make ~name:"resume from any cut point is bit-identical" ~count:40
+    ~print:(fun (plan, k, seed, cut) ->
+      Printf.sprintf "%s k=%d seed=%d cut=%d" (print_plan plan) k seed cut)
+    (QCheck2.Gen.quad plan_gen (QCheck2.Gen.int_range 1 4) Gen.seed_gen
+       (QCheck2.Gen.int_range 0 60))
+    (fun (plan, k, seed, cut) ->
       let space = Gen.wide_space in
-      let full, events =
-        record_run ~plan:three_rung_plan ~k:2 ~seed ~space ~objective:scaled_objective
+      let record ?recorded_log () =
+        record_result ?recorded_log ~plan ~k ~seed ~space ~objective:noisy_objective
           ~budget:200 ()
       in
+      let full, events = record () in
       let cut = min cut (List.length events) in
       let prefix = List.filteri (fun i _ -> i < cut) events in
-      let resumed, _ =
-        record_run
-          ~recorded_log:(log_of_events ~seed ~space prefix)
-          ~plan:three_rung_plan ~k:2 ~seed ~space ~objective:scaled_objective ~budget:200 ()
-      in
-      fid_results_identical full resumed)
+      let resumed, suffix = record ~recorded_log:(log_of_events ~seed ~space prefix) () in
+      (match (full, resumed) with
+      | Stdlib.Ok a, Stdlib.Ok b -> fid_results_identical a b
+      | Stdlib.Error a, Stdlib.Error b -> a.Tuner.error_attempts = b.Tuner.error_attempts
+      | _ -> false)
+      && List.length prefix + List.length suffix = List.length events
+      && List.for_all2 recorded_equal (prefix @ suffix) events)
+
+(* The pool only ranks: a run over a space large enough for parallel
+   ranking equals the run without a pool bit for bit, and every
+   objective call stays on the calling domain. *)
+let test_pool_only_ranks () =
+  let space =
+    Param.Space.make
+      (List.init 4 (fun i ->
+           Param.Spec.ordinal_ints (Printf.sprintf "p%d" i) (List.init 16 (fun v -> v + 1))))
+  in
+  let caller = Domain.self () in
+  let off_caller = Atomic.make 0 in
+  let objective ~rung config =
+    if Domain.self () <> caller then Atomic.incr off_caller;
+    noisy_objective ~rung config
+  in
+  let run ?pool ?telemetry () =
+    fid_result
+      (Fidelity.run ?telemetry ?pool ~plan:{ three_rung_plan with brackets = 3 } ~k:3
+         ~rng:(Prng.Rng.create 17) ~space ~objective ~budget:120 ())
+  in
+  let alone = run () in
+  let sink, events = Telemetry.Trace.memory_sink () in
+  let pooled =
+    Parallel.Pool.with_pool ~num_domains:2 (fun pool ->
+        run ~pool ~telemetry:(Telemetry.Trace.make [ sink ]) ())
+  in
+  let parallel_ranks =
+    List.filter
+      (function _, Telemetry.Event.Rank r -> r.workers > 1 | _ -> false)
+      (events ())
+  in
+  Alcotest.check Alcotest.bool "the pool ranked in parallel" true (parallel_ranks <> []);
+  Alcotest.check Alcotest.bool "pooled run = run without a pool" true
+    (fid_results_identical alone pooled);
+  Alcotest.check Alcotest.int "objective calls off the calling domain" 0
+    (Atomic.get off_caller)
+
+let golden_runs () =
+  let p = Printf.sprintf in
+  String.concat ""
+    [
+      p "# cohort 9, eta 3, 4 brackets, k=3\n";
+      record_stream
+        ~plan:{ three_rung_plan with brackets = 4 }
+        ~k:3 ~seed:21 ~budget:200;
+      p "# four rungs, eta 2, cost budget 12, k=2\n";
+      record_stream
+        ~plan:
+          {
+            Fidelity.costs = [| 0.125; 0.25; 0.5; 1. |];
+            eta = 2.;
+            cohort = 8;
+            brackets = 3;
+            low_weight = 0.5;
+            cost_budget = Some 12.;
+          }
+        ~k:2 ~seed:5 ~budget:60;
+      p "# submission budget 30 ends bracket 2 early, k=1\n";
+      record_stream
+        ~plan:{ three_rung_plan with brackets = 4 }
+        ~k:1 ~seed:8 ~budget:30;
+    ]
+
+(* The scheduler must reproduce a stream recorded from an earlier
+   implementation byte for byte: every entry, low-rung record and rung
+   closure, in order. *)
+let test_golden_stream () =
+  let path =
+    Filename.concat (Filename.dirname Sys.executable_name) "fixtures/fidelity_stream.expected"
+  in
+  let expected = In_channel.with_open_bin path In_channel.input_all in
+  Alcotest.check Alcotest.string "record stream" expected (golden_runs ())
 
 let suite =
   let tc = Alcotest.test_case in
@@ -384,6 +524,8 @@ let suite =
       tc "two brackets: guided seeding, dedup, exact history" `Quick test_multi_bracket;
       tc "interrupt/resume is bit-exact at every cut" `Slow test_interrupt_resume_bitexact;
       tc "resume fails loudly on divergence" `Quick test_resume_divergence_fails;
+      tc "golden record stream" `Quick test_golden_stream;
+      tc "pool only ranks, objective on the caller" `Quick test_pool_only_ranks;
       QCheck_alcotest.to_alcotest prop_degenerate_matches_async;
       QCheck_alcotest.to_alcotest prop_resume_bitexact;
     ] )

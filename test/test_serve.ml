@@ -326,9 +326,7 @@ let test_same_name_open_race () =
   (* Different seeds, so a losing open that rewrote the file would
      leave a header the winner's campaign does not match. The budget
      exceeds the 64-configuration space (the campaign ends when the
-     space is exhausted) and makes each open allocate a large dedup
-     table, widening the window in which unreserved opens would
-     interleave. *)
+     space is exhausted). *)
   let seeds = [| 51; 52; 53; 54 |] and budget = 200_000 in
   let go = Atomic.make false in
   let domains =
@@ -371,6 +369,21 @@ let test_same_name_open_race () =
   check Alcotest.bool "winner's run log = isolated run log, byte for byte" true
     (String.equal raced isolated)
 
+(* ---- a client's budget does not size the server's memory ---- *)
+
+(* Opening a session allocates independently of the requested budget:
+   the campaign's dedup table starts small and grows only with the
+   configurations actually issued, so a huge budget on a 64-point
+   space costs what a small one does. *)
+let test_open_budget_allocation () =
+  let server = Hiperbot.Serve.create () in
+  let before = Gc.allocated_bytes () in
+  let reply = Hiperbot.Serve.handle server (open_line ~name:"big" ~budget:2_000_000 ()) in
+  let mb = (Gc.allocated_bytes () -. before) /. 1048576. in
+  check Alcotest.string "open accepted" "ok open big evaluated=0 pending=0" reply;
+  check Alcotest.bool (Printf.sprintf "open allocated %.2f MB, under 1 MB" mb) true (mb < 1.);
+  Hiperbot.Serve.close_all server
+
 let suite =
   ( "serve",
     [
@@ -382,4 +395,6 @@ let suite =
       Alcotest.test_case "pool sharing accounting" `Quick test_pool_sharing;
       Alcotest.test_case "concurrent clients across domains" `Quick test_concurrent_clients;
       Alcotest.test_case "same-name open race" `Quick test_same_name_open_race;
+      Alcotest.test_case "open allocation independent of budget" `Quick
+        test_open_budget_allocation;
     ] )
