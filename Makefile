@@ -1,7 +1,7 @@
 # Development entry points. `make check` is what CI runs: build,
 # formatting (when ocamlformat is installed), and the full test suite.
 
-.PHONY: all build test fmt check clean bench bench-build bench-select bench-async bench-transfer bench-fidelity bench-moo trace-demo
+.PHONY: all build test fmt check clean bench bench-build bench-select bench-async bench-transfer bench-fidelity bench-moo
 
 all: build
 
@@ -70,14 +70,5 @@ fmt:
 
 check: build bench-build fmt test
 
-# End-to-end trace smoke: run a traced kripke campaign, then validate
-# the JSONL against the schema reader (`trace` exits non-zero on a
-# malformed or alien file) and print the aggregated summary.
-trace-demo: build
-	dune exec bin/hiperbot_cli.exe -- tune -d kripke -b 60 \
-		--trace trace-demo.jsonl --trace-summary
-	dune exec bin/hiperbot_cli.exe -- trace --log trace-demo.jsonl
-
 clean:
 	dune clean
-	rm -f trace-demo.jsonl

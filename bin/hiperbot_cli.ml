@@ -40,24 +40,18 @@ let split_weight s =
       | None -> (s, 1.0))
   | None -> (s, 1.0)
 
-(* Reject duplicate source names and non-finite weights before
-   anything is loaded or fitted: both are command-line mistakes (the
-   same log listed twice doubles its prior mass silently; a nan/inf
-   weight would only surface deep inside the surrogate merge). *)
+(* Reject duplicate source names before anything is loaded or fitted:
+   the same log listed twice would silently double its prior mass.
+   Weights are checked by [Transfer.prior]. *)
 let check_source_specs specs =
   let seen = Hashtbl.create 8 in
-  try
-    List.iter
-      (fun spec ->
-        let name, w = split_weight spec in
-        if not (Float.is_finite w) then
-          failwith (Printf.sprintf "transfer source %s: weight is not finite" name);
-        if Hashtbl.mem seen name then
-          failwith (Printf.sprintf "transfer source %s: given more than once" name);
-        Hashtbl.add seen name ())
-      specs;
-    Ok ()
-  with Failure msg -> Error msg
+  List.iter
+    (fun spec ->
+      let name, _ = split_weight spec in
+      if Hashtbl.mem seen name then
+        failwith (Printf.sprintf "transfer source %s: given more than once" name);
+      Hashtbl.add seen name ())
+    specs
 
 let gate_thresh_arg =
   let doc =
@@ -73,16 +67,13 @@ let no_gate_arg =
 
 (* Resolve the two gate flags into [Some options] (gate on) / [None]
    (gate off); gating is on by default whenever transfer sources are
-   in play. *)
+   in play. [Gate] checks the threshold when the prior is built. *)
 let resolve_gate thresh no_gate =
   match (thresh, no_gate) with
-  | Some _, true -> Error "--transfer-gate and --no-transfer-gate cannot be combined"
-  | None, true -> Ok None
-  | None, false -> Ok (Some Hiperbot.Gate.default_options)
-  | Some t, false ->
-      if Float.is_finite t && t > 0. && t < 1. then
-        Ok (Some { Hiperbot.Gate.default_options with Hiperbot.Gate.threshold = t })
-      else Error "--transfer-gate THRESH must lie strictly between 0 and 1"
+  | Some _, true -> failwith "--transfer-gate and --no-transfer-gate cannot be combined"
+  | None, true -> None
+  | None, false -> Some Hiperbot.Gate.default_options
+  | Some t, false -> Some { Hiperbot.Gate.default_options with Hiperbot.Gate.threshold = t }
 
 let weighting_arg =
   let doc =
@@ -129,22 +120,25 @@ let decay_arg =
   Arg.(value & opt decay_conv Hiperbot.Transfer.Constant & info [ "transfer-decay" ] ~docv:"SPEC" ~doc)
 
 (* Load `--transfer-from FILE[:WEIGHT]` run logs into transfer sources
-   for [space]; every failure becomes a clean CLI error. *)
+   for [space]. *)
 let load_transfer_sources ~space files =
-  try
-    Ok
-      (List.map
-         (fun spec ->
-           let path, w = split_weight spec in
-           let log = Dataset.Runlog.load ~recover:true path in
-           if Param.Space.specs log.Dataset.Runlog.space <> Param.Space.specs space then
-             failwith (Printf.sprintf "transfer source %s: space does not match the target" path);
-           let hist = Dataset.Runlog.history log in
-           if Array.length hist = 0 then
-             failwith (Printf.sprintf "transfer source %s: no successful evaluations" path);
-           (hist, w))
-         files)
-  with Failure msg | Sys_error msg -> Error msg
+  List.map
+    (fun spec ->
+      let path, w = split_weight spec in
+      let log = Dataset.Runlog.load ~recover:true path in
+      if Param.Space.specs log.Dataset.Runlog.space <> Param.Space.specs space then
+        failwith (Printf.sprintf "transfer source %s: space does not match the target" path);
+      let hist = Dataset.Runlog.history log in
+      if Array.length hist = 0 then
+        failwith (Printf.sprintf "transfer source %s: no successful evaluations" path);
+      (hist, w))
+    files
+
+(* Engines and loaders reject bad input by raising before they
+   evaluate anything; report it as a command-line error (exit 124),
+   as [Serve.handle] turns it into an [err] line. *)
+let reporting_errors f =
+  try f () with Invalid_argument msg | Failure msg | Sys_error msg -> `Error (false, msg)
 
 (* ---- list ---- *)
 
@@ -196,11 +190,11 @@ let method_arg =
 
 let alpha_arg =
   let doc = "HiPerBOt quantile threshold for the good/bad split." in
-  Arg.(value & opt float 0.2 & info [ "alpha" ] ~docv:"A" ~doc)
+  Arg.(value & opt float Hiperbot.Surrogate.default_options.alpha & info [ "alpha" ] ~docv:"A" ~doc)
 
 let n_init_arg =
   let doc = "Random initialization samples." in
-  Arg.(value & opt int 20 & info [ "n-init" ] ~docv:"N" ~doc)
+  Arg.(value & opt int Hiperbot.Tuner.default_options.n_init & info [ "n-init" ] ~docv:"N" ~doc)
 
 let proposal_arg =
   let doc = "Use the Proposal selection strategy with $(docv) sampled candidates instead of exhaustive Ranking." in
@@ -219,7 +213,7 @@ let trace_summary_arg =
   Arg.(value & flag & info [ "trace-summary" ] ~doc)
 
 let save_arg =
-  let doc = "Write a run log of every evaluation to $(docv), one flushed line per evaluation so an interrupted run is recoverable (see Dataset.Runlog)." in
+  let doc = "Write a run log of every evaluation to $(docv), one flushed line per evaluation so an interrupted run is recoverable (see Dataset.Runlog). The file is opened by the first evaluation, so a rejected invocation leaves it as it was." in
   Arg.(value & opt (some string) None & info [ "save" ] ~docv:"PATH" ~doc)
 
 let resume_arg =
@@ -227,19 +221,20 @@ let resume_arg =
   Arg.(value & flag & info [ "resume" ] ~doc)
 
 let faults_arg =
-  let doc = "Inject deterministic faults at transient rate $(docv) (plus permanent failures at a quarter and 8x stragglers at half that rate). Hiperbot method only." in
-  Arg.(value & opt float 0. & info [ "faults" ] ~docv:"RATE" ~doc)
+  let doc = "Inject deterministic faults at transient rate $(docv) in [0, 1] (plus permanent failures at a quarter and 8x stragglers at half that rate). Hiperbot method only." in
+  Arg.(value & opt (some ~none:"0" float) None & info [ "faults" ] ~docv:"RATE" ~doc)
 
 let fault_seed_arg =
   let doc = "Seed of the fault-injection streams (default: derived from --seed)." in
   Arg.(value & opt (some int) None & info [ "fault-seed" ] ~docv:"N" ~doc)
 
 let retries_arg =
-  let doc = "Maximum attempts per configuration (transient failures and timeouts are retried with exponential simulated backoff; permanent failures never are)." in
-  Arg.(value & opt int 3 & info [ "retries" ] ~docv:"N" ~doc)
+  let doc = "Maximum attempts per configuration (transient failures and timeouts are retried with exponential simulated backoff; permanent failures never are). Hiperbot method only." in
+  let none = string_of_int Resilience.Policy.default.max_attempts in
+  Arg.(value & opt (some ~none int) None & info [ "retries" ] ~docv:"N" ~doc)
 
 let timeout_arg =
-  let doc = "Per-evaluation cost budget: an evaluation above $(docv) is classified as a timeout (straggler) instead of a measurement." in
+  let doc = "Per-evaluation cost budget: an evaluation above $(docv) is classified as a timeout (straggler) instead of a measurement. Hiperbot method only." in
   Arg.(value & opt (some float) None & info [ "timeout" ] ~docv:"COST" ~doc)
 
 let jobs_arg =
@@ -257,20 +252,23 @@ let fidelity_arg =
      bracket evaluates a cohort of --n-init configurations at the cheapest rung and promotes the \
      best ceil(n/eta) per rung closure, so most of the budget is spent at a fraction of the \
      full-fidelity cost. $(docv) = 1 degrades to the flat full-fidelity campaign. Composes with \
-     --async, --save/--resume, --trace, and --jobs. Hiperbot method only."
+     --async, --save/--resume, --trace, and --jobs; takes no retry policy, so not with --faults, \
+     --retries or --timeout. Hiperbot method only."
   in
   Arg.(value & opt (some int) None & info [ "fidelity" ] ~docv:"R" ~doc)
 
 let brackets_arg =
-  let doc = "Successive-halving brackets to run (requires --fidelity; default 4)." in
-  Arg.(value & opt (some int) None & info [ "brackets" ] ~docv:"B" ~doc)
+  let doc = "Successive-halving brackets to run (requires --fidelity)." in
+  let none = string_of_int Hiperbot.Fidelity.default_plan.Hiperbot.Fidelity.brackets in
+  Arg.(value & opt (some ~none int) None & info [ "brackets" ] ~docv:"B" ~doc)
 
 let eta_arg =
   let doc =
     "Promotion ratio: each rung closure keeps the best ceil(n/$(docv)) of its n results \
-     (requires --fidelity; default 3)."
+     (requires --fidelity)."
   in
-  Arg.(value & opt (some float) None & info [ "eta" ] ~docv:"F" ~doc)
+  let none = Printf.sprintf "%g" Hiperbot.Fidelity.default_plan.Hiperbot.Fidelity.eta in
+  Arg.(value & opt (some ~none float) None & info [ "eta" ] ~docv:"F" ~doc)
 
 (* Run [f (Some pool)] on a [jobs]-domain pool, or [f None] when a
    single job needs no pool at all. *)
@@ -278,12 +276,8 @@ let with_jobs jobs f =
   if jobs > 1 then Parallel.Pool.with_pool ~num_domains:(jobs - 1) (fun p -> f (Some p))
   else f None
 
-let status_of_outcome = function
-  | Resilience.Outcome.Value y -> Dataset.Runlog.Ok y
-  | Resilience.Outcome.Transient _ -> Dataset.Runlog.Failed Dataset.Runlog.Transient
-  | Resilience.Outcome.Permanent _ -> Dataset.Runlog.Failed Dataset.Runlog.Permanent
-  | Resilience.Outcome.Timeout -> Dataset.Runlog.Failed Dataset.Runlog.Timeout
-  | Resilience.Outcome.Infeasible _ -> Dataset.Runlog.Failed Dataset.Runlog.Infeasible
+(* The first flag of [flags] that was given. *)
+let first_given flags = List.find_map (fun (flag, given) -> if given then Some flag else None) flags
 
 let tune_cmd =
   let transfer_from_arg =
@@ -298,361 +292,302 @@ let tune_cmd =
   let run dataset seed budget method_ alpha n_init proposal verbose trace_file
       trace_summary save resume faults fault_seed retries timeout jobs async transfer_from
       transfer_weighting transfer_decay transfer_gate no_transfer_gate fidelity brackets eta =
-    match find_table dataset with
-    | Error e -> `Error (false, e)
-    | Ok table ->
-        let fidelity_ladder = (Hpcsim.Registry.find dataset).Hpcsim.Registry.fidelity in
+    reporting_errors (fun () ->
+        let table = match find_table dataset with Ok t -> t | Error e -> failwith e in
+        let ladder = (Hpcsim.Registry.find dataset).Hpcsim.Registry.fidelity in
+        (* Only what the engines cannot know is checked here: every
+           range is checked by the engine that uses the value, before
+           anything is evaluated. *)
+        let reject bad msg = if bad then failwith msg in
+        let reject_given flags msg = Option.iter (fun flag -> failwith (msg flag)) (first_given flags) in
+        reject (resume && save = None) "--resume requires --save PATH";
+        reject (jobs < 1) "--jobs must be at least 1";
+        if method_ <> `Hiperbot then
+          reject_given
+            [
+              ("--resume", resume);
+              ("--faults", faults <> None);
+              ("--retries", retries <> None);
+              ("--timeout", timeout <> None);
+              ("--async", async <> None);
+              ("--jobs", jobs > 1);
+              ("--trace", trace_file <> None);
+              ("--trace-summary", trace_summary);
+              ("--transfer-from", transfer_from <> []);
+              ("--fidelity", fidelity <> None);
+            ]
+            (fun flag -> flag ^ " is only supported with --method hiperbot");
+        (* The fidelity scheduler takes no retry policy. *)
+        if fidelity <> None then
+          reject_given
+            [ ("--faults", faults <> None); ("--retries", retries <> None); ("--timeout", timeout <> None) ]
+            (fun flag -> "--fidelity is incompatible with " ^ flag);
+        reject
+          (fidelity = None && (brackets <> None || eta <> None))
+          "--brackets and --eta require --fidelity";
+        reject
+          ((transfer_gate <> None || no_transfer_gate) && transfer_from = [])
+          "--transfer-gate and --no-transfer-gate require --transfer-from";
+        (match (fidelity, ladder) with
+        | Some _, None ->
+            failwith
+              (Printf.sprintf
+                 "dataset %s has no fidelity ladder (fidelity-capable: kripke, hypre, lulesh)" dataset)
+        | Some r, Some f when r > Array.length f.Hpcsim.Registry.levels ->
+            failwith
+              (Printf.sprintf "--fidelity R exceeds the dataset's ladder depth (%d levels)"
+                 (Array.length f.Hpcsim.Registry.levels))
+        | _ -> ());
         let space = Dataset.Table.space table in
         let objective = Dataset.Table.objective_fn table in
         let rng = Prng.Rng.create seed in
-        let resilient = resume || faults > 0. || async <> None in
-        let gate_opts = resolve_gate transfer_gate no_transfer_gate in
-        (* Resolve --transfer-from eagerly so a bad source log fails
-           before any tuning starts; the resulting prior rides in the
-           options, so every engine path (plain, resilient, resume,
-           async) picks it up without further wiring. *)
-        let transfer_prior =
-          match (transfer_from, gate_opts) with
-          | [], _ | _, Error _ -> Ok None
-          | files, Ok gate -> (
-              match check_source_specs files with
-              | Error e -> Error e
-              | Ok () -> (
-                  match load_transfer_sources ~space files with
-                  | Error e -> Error e
-                  | Ok sources -> (
-                      try
-                        Ok
-                          (Some
-                             (Hiperbot.Transfer.prior
-                                ~options:{ Hiperbot.Surrogate.default_options with alpha }
-                                ~weighting:transfer_weighting ~schedule:transfer_decay ~gate space
-                                sources))
-                      with Invalid_argument msg -> Error msg)))
-        in
-        if resilient && method_ <> `Hiperbot then
-          `Error (false, "--resume, --faults, and --async are only supported with --method hiperbot")
-        else if (match async with Some k -> k < 1 | None -> false) then
-          `Error (false, "--async K must be at least 1")
-        else if resume && save = None then `Error (false, "--resume requires --save PATH")
-        else if not (0. <= faults && faults <= 1.) then
-          `Error (false, "--faults RATE must be in [0, 1]")
-        else if retries < 1 then `Error (false, "--retries must be at least 1")
-        else if (match timeout with Some t -> t <= 0. | None -> false) then
-          `Error (false, "--timeout must be positive")
-        else if jobs < 1 then `Error (false, "--jobs must be at least 1")
-        else if jobs > 1 && method_ <> `Hiperbot then
-          `Error (false, "--jobs is only supported with --method hiperbot")
-        else if (trace_file <> None || trace_summary) && method_ <> `Hiperbot then
-          `Error (false, "--trace and --trace-summary are only supported with --method hiperbot")
-        else if transfer_from <> [] && method_ <> `Hiperbot then
-          `Error (false, "--transfer-from is only supported with --method hiperbot")
-        else if (transfer_gate <> None || no_transfer_gate) && transfer_from = [] then
-          `Error (false, "--transfer-gate and --no-transfer-gate require --transfer-from")
-        else if Result.is_error gate_opts then `Error (false, Result.get_error gate_opts)
-        else if Result.is_error transfer_prior then
-          `Error (false, Result.get_error transfer_prior)
-        else if (match fidelity with Some r -> r < 1 | None -> false) then
-          `Error (false, "--fidelity R must be at least 1")
-        else if fidelity <> None && method_ <> `Hiperbot then
-          `Error (false, "--fidelity is only supported with --method hiperbot")
-        else if fidelity <> None && proposal <> None then
-          `Error (false, "--fidelity is incompatible with --proposal")
-        else if fidelity <> None && transfer_from <> [] then
-          `Error (false, "--fidelity is incompatible with --transfer-from")
-        else if fidelity <> None && faults > 0. then
-          `Error (false, "--fidelity is incompatible with --faults")
-        else if fidelity = None && (brackets <> None || eta <> None) then
-          `Error (false, "--brackets and --eta require --fidelity")
-        else if (match brackets with Some b -> b < 1 | None -> false) then
-          `Error (false, "--brackets must be at least 1")
-        else if (match eta with Some e -> (not (Float.is_finite e)) || e <= 1. | None -> false)
-        then `Error (false, "--eta must be finite and greater than 1")
-        else if fidelity <> None && fidelity_ladder = None then
-          `Error
-            ( false,
-              Printf.sprintf "dataset %s has no fidelity ladder (fidelity-capable: kripke, \
-                              hypre, lulesh)" dataset )
-        else if
-          match (fidelity, fidelity_ladder) with
-          | Some r, Some f -> r > Array.length f.Hpcsim.Registry.levels
-          | _ -> false
-        then
-          `Error
-            ( false,
-              Printf.sprintf "--fidelity R exceeds the dataset's ladder depth (%d levels)"
-                (match fidelity_ladder with
-                | Some f -> Array.length f.Hpcsim.Registry.levels
-                | None -> 0) )
-        else begin
-          let summary = if trace_summary then Some (Telemetry.Summary.create ()) else None in
-          let telemetry =
-            Telemetry.Trace.make
-              ((match trace_file with Some p -> [ Telemetry.Trace.jsonl_sink p ] | None -> [])
-              @ match summary with Some s -> [ Telemetry.Summary.sink s ] | None -> [])
-          in
-          let finish_trace () =
-            Telemetry.Trace.close telemetry;
-            (match trace_file with
-            | Some p -> Printf.printf "trace written to %s\n" p
-            | None -> ());
-            match summary with Some s -> print_string (Telemetry.Summary.render s) | None -> ()
-          in
-          let best = ref infinity in
-          let print_evaluation i config y =
-            if verbose || y < !best then begin
-              if y < !best then best := y;
-              Printf.printf "%4d  %10.4g  %s\n" i y (Param.Space.to_string space config)
-            end
-          in
-          let print_tuner_result (result : Hiperbot.Tuner.result) =
-            (match result.Hiperbot.Tuner.final_surrogate with
-            | Some s ->
-                Printf.printf "parameter importance: %s\n"
-                  (Hiperbot.Importance.to_string (Hiperbot.Importance.of_surrogate s))
-            | None -> ());
-            let n_fail = Array.length result.Hiperbot.Tuner.failures in
-            if n_fail > 0 || result.Hiperbot.Tuner.n_attempts > Array.length result.Hiperbot.Tuner.history
-            then
-              Printf.printf "failures: %d  attempts: %d  backoff cost: %.4g\n" n_fail
-                result.Hiperbot.Tuner.n_attempts result.Hiperbot.Tuner.retry_cost;
-            Baselines.Outcome.of_tuner_result result
-          in
-          let options =
-            let strategy =
-              match proposal with
+        let surrogate = { Hiperbot.Surrogate.default_options with alpha } in
+        let options =
+          {
+            Hiperbot.Tuner.default_options with
+            n_init;
+            strategy =
+              (match proposal with
               | Some k -> Hiperbot.Strategy.Proposal { n_candidates = k }
-              | None -> Hiperbot.Strategy.Ranking
+              | None -> Hiperbot.Strategy.Ranking);
+            surrogate;
+            prior =
+              (match transfer_from with
+              | [] -> None
+              | files ->
+                  check_source_specs files;
+                  let gate = resolve_gate transfer_gate no_transfer_gate in
+                  Some
+                    (Hiperbot.Transfer.prior ~options:surrogate
+                       ~weighting:transfer_weighting ~schedule:transfer_decay ~gate space
+                       (load_transfer_sources ~space files)));
+          }
+        in
+        let policy =
+          {
+            Resilience.Policy.default with
+            max_attempts = Option.value retries ~default:Resilience.Policy.default.max_attempts;
+            timeout;
+          }
+        in
+        let fault_spec =
+          match faults with
+          | Some rate when rate <> 0. ->
+              Some (Hpcsim.Faults.standard ~seed:(Option.value fault_seed ~default:(seed + 7919)) ~rate)
+          | Some _ | None -> None
+        in
+        let summary = if trace_summary then Some (Telemetry.Summary.create ()) else None in
+        (* The trace file is opened by the first event, like the run log
+           below: a rejected invocation leaves it as it was. *)
+        let trace_sink path =
+          let sink = lazy (Telemetry.Trace.jsonl_sink path) in
+          {
+            Telemetry.Trace.emit = (fun ~ts ev -> (Lazy.force sink).Telemetry.Trace.emit ~ts ev);
+            close = (fun () -> if Lazy.is_val sink then (Lazy.force sink).Telemetry.Trace.close ());
+          }
+        in
+        let telemetry =
+          Telemetry.Trace.make
+            ((match trace_file with Some p -> [ trace_sink p ] | None -> [])
+            @ match summary with Some s -> [ Telemetry.Summary.sink s ] | None -> [])
+        in
+        let best = ref infinity in
+        let print_evaluation i config y =
+          if verbose || y < !best then begin
+            if y < !best then best := y;
+            Printf.printf "%4d  %10.4g  %s\n" i y (Param.Space.to_string space config)
+          end
+        in
+        let print_tuner_result (result : Hiperbot.Tuner.result) =
+          (match result.Hiperbot.Tuner.final_surrogate with
+          | Some s ->
+              Printf.printf "parameter importance: %s\n"
+                (Hiperbot.Importance.to_string (Hiperbot.Importance.of_surrogate s))
+          | None -> ());
+          let n_fail = Array.length result.Hiperbot.Tuner.failures in
+          if
+            n_fail > 0
+            || result.Hiperbot.Tuner.n_attempts > Array.length result.Hiperbot.Tuner.history
+          then
+            Printf.printf "failures: %d  attempts: %d  backoff cost: %.4g\n" n_fail
+              result.Hiperbot.Tuner.n_attempts result.Hiperbot.Tuner.retry_cost;
+          Baselines.Outcome.of_tuner_result result
+        in
+        (* The run log a --resume continues: checked against the
+           dataset, and its seed wins over --seed. *)
+        let existing_log =
+          match save with
+          | Some path when resume && Sys.file_exists path ->
+              let log = Dataset.Runlog.load ~recover:true path in
+              if Param.Space.specs log.Dataset.Runlog.space <> Param.Space.specs space then
+                failwith "run log space does not match the dataset";
+              if log.Dataset.Runlog.seed <> seed then
+                Printf.printf "resuming with the log's seed %d (ignoring --seed %d)\n"
+                  log.Dataset.Runlog.seed seed;
+              Printf.printf "resuming after %d recorded evaluations\n"
+                (Array.length log.Dataset.Runlog.entries);
+              Some log
+          | _ -> None
+        in
+        (* The writer is opened by the first record, or by [close_run]
+           when nothing was recorded: every engine rejects bad input
+           before its first callback, so a rejected invocation leaves
+           the log as it was. *)
+        let writer =
+          Option.map
+            (fun path ->
+              lazy
+                (match existing_log with
+                | Some log -> Dataset.Runlog.writer_resume ~path log
+                | None ->
+                    Dataset.Runlog.writer_create ~path ~name:("tune:" ^ dataset) ~seed ~space))
+            save
+        in
+        let to_log f = Option.iter (fun w -> f (Lazy.force w)) writer in
+        (* Gate decisions join the run log as #gate lines, so an
+           interrupted gated campaign resumes with its trust
+           verdicts verified against the record. *)
+        let on_gate g = to_log (fun w -> Dataset.Runlog.writer_record_gate w g) in
+        let close_run () =
+          to_log Dataset.Runlog.writer_close;
+          Telemetry.Trace.close telemetry;
+          (match trace_file with
+          | Some p -> Printf.printf "trace written to %s\n" p
+          | None -> ());
+          match summary with
+          | Some s -> print_string (Telemetry.Summary.render s)
+          | None -> ()
+        in
+        (* Close the log and the trace, then print the best configuration. *)
+        let print_best (outcome : Baselines.Outcome.t) =
+          close_run ();
+          Printf.printf "best after %d evaluations: %.4g\n"
+            (Array.length outcome.Baselines.Outcome.history)
+            outcome.Baselines.Outcome.best_value;
+          Printf.printf "  %s\n" (Param.Space.to_string space outcome.Baselines.Outcome.best_config);
+          Printf.printf "exhaustive best: %.4g\n" (Dataset.Table.best_value table);
+          (match save with
+          | Some path -> Printf.printf "run log written to %s\n" path
+          | None -> ());
+          `Ok ()
+        in
+        match (method_, fidelity, ladder) with
+        | `Random, _, _ -> print_best (Baselines.Random_search.run ~rng ~space ~objective ~budget ())
+        | `Geist, _, _ -> print_best (Baselines.Geist.run ~rng ~space ~objective ~budget ())
+        | `Gp, _, _ -> print_best (Baselines.Gp_tuner.run ~rng ~space ~objective ~budget ())
+        | `Gbt, _, _ -> print_best (Baselines.Gbt_tuner.run ~rng ~space ~objective ~budget ())
+        | `Hiperbot, Some r, Some fid -> (
+            (* Multi-fidelity: successive-halving brackets over the
+               dataset's fidelity ladder, rung state persisted as #fid /
+               #rung run-log lines for bit-exact resume. *)
+            let offset = Array.length fid.Hpcsim.Registry.levels - r in
+            let d = Hiperbot.Fidelity.default_plan in
+            let plan =
+              {
+                d with
+                Hiperbot.Fidelity.costs =
+                  Array.init (max r 0) (fun i -> fid.Hpcsim.Registry.cost (offset + i));
+                cohort = n_init;
+                eta = Option.value eta ~default:d.Hiperbot.Fidelity.eta;
+                brackets = Option.value brackets ~default:d.Hiperbot.Fidelity.brackets;
+              }
             in
-            {
-              Hiperbot.Tuner.default_options with
-              n_init;
-              strategy;
-              surrogate = { Hiperbot.Surrogate.default_options with alpha };
-              prior = (match transfer_prior with Ok p -> p | Error _ -> None);
-            }
-          in
-          (* The run log a --resume continues (checked against the
-             dataset; its seed wins over --seed) and the writer every
-             evaluation is appended through. *)
-          let open_log () =
-            let existing_log =
-              match save with
-              | Some path when resume && Sys.file_exists path ->
-                  Some (Dataset.Runlog.load ~recover:true path)
-              | _ -> None
+            let objective ~rung config = fid.Hpcsim.Registry.objective_at (offset + rung) config in
+            let k = Option.value async ~default:1 in
+            let on_eval i config y =
+              to_log (fun w ->
+                  Dataset.Runlog.writer_record w
+                    { Dataset.Runlog.index = i; config; status = Dataset.Runlog.Ok y; attempts = 1 });
+              print_evaluation i config y
             in
-            match existing_log with
-            | Some log
-              when Param.Space.specs log.Dataset.Runlog.space <> Param.Space.specs space ->
-                Error "run log space does not match the dataset"
-            | _ ->
-                let writer =
-                  match (save, existing_log) with
-                  | Some path, Some log -> Some (Dataset.Runlog.writer_resume ~path log)
-                  | Some path, None ->
-                      Some
-                        (Dataset.Runlog.writer_create ~path ~name:("tune:" ^ dataset) ~seed
-                           ~space)
-                  | None, _ -> None
-                in
-                Option.iter
-                  (fun log ->
-                    if log.Dataset.Runlog.seed <> seed then
-                      Printf.printf "resuming with the log's seed %d (ignoring --seed %d)\n"
-                        log.Dataset.Runlog.seed seed;
-                    Printf.printf "resuming after %d recorded evaluations\n"
-                      (Array.length log.Dataset.Runlog.entries))
-                  existing_log;
-                Ok (existing_log, writer)
-          in
-          let print_best (outcome : Baselines.Outcome.t) =
-            Printf.printf "best after %d evaluations: %.4g\n"
-              (Array.length outcome.Baselines.Outcome.history)
-              outcome.Baselines.Outcome.best_value;
-            Printf.printf "  %s\n" (Param.Space.to_string space outcome.Baselines.Outcome.best_config);
-            Printf.printf "exhaustive best: %.4g\n" (Dataset.Table.best_value table);
-            (match save with
-            | Some path -> Printf.printf "run log written to %s\n" path
-            | None -> ());
-            `Ok ()
-          in
-          match open_log () with
-          | Error e -> `Error (false, e)
-          | Ok (existing_log, writer) ->
-              let record i config status attempts =
-                match writer with
-                | Some w ->
-                    Dataset.Runlog.writer_record w
-                      { Dataset.Runlog.index = i; config; status; attempts }
-                | None -> ()
-              in
-              (* Gate decisions join the run log as #gate lines, so an
-                 interrupted gated campaign resumes with its trust
-                 verdicts verified against the record. *)
-              let on_gate g =
-                match writer with Some w -> Dataset.Runlog.writer_record_gate w g | None -> ()
-              in
-              let close_run () =
-                (match writer with Some w -> Dataset.Runlog.writer_close w | None -> ());
-                finish_trace ()
-              in
-              if fidelity <> None then begin
-                (* Multi-fidelity path: successive-halving brackets over
-                   the dataset's natural fidelity ladder, rung state
-                   persisted as #fid / #rung run-log lines for bit-exact
-                   resume. *)
-                let r = Option.get fidelity in
-                let fid = Option.get fidelity_ladder in
-                let n_levels = Array.length fid.Hpcsim.Registry.levels in
-                let offset = n_levels - r in
-                let costs = Array.init r (fun i -> fid.Hpcsim.Registry.cost (offset + i)) in
-                let plan =
-                  {
-                    Hiperbot.Fidelity.costs;
-                    eta = Option.value eta ~default:3.;
-                    cohort = n_init;
-                    brackets = Option.value brackets ~default:4;
-                    low_weight = 0.25;
-                    cost_budget = None;
-                  }
-                in
-                let fid_objective ~rung config =
-                  fid.Hpcsim.Registry.objective_at (offset + rung) config
-                in
-                let k = Option.value async ~default:1 in
-                let on_eval i config y =
-                  record i config (Dataset.Runlog.Ok y) 1;
-                  print_evaluation i config y
-                in
-                let on_fid (f : Dataset.Runlog.fid) =
-                  (match writer with
-                  | Some w -> Dataset.Runlog.writer_record_fid w f
-                  | None -> ());
+            let on_fid (f : Dataset.Runlog.fid) =
+              to_log (fun w -> Dataset.Runlog.writer_record_fid w f);
+              if verbose then
+                Printf.printf "  b%d/r%d  %10.4g  %s\n" f.Dataset.Runlog.f_bracket
+                  f.Dataset.Runlog.f_rung f.Dataset.Runlog.f_value
+                  (Param.Space.to_string space f.Dataset.Runlog.f_config)
+            in
+            let on_rung (rg : Dataset.Runlog.rung) =
+              to_log (fun w -> Dataset.Runlog.writer_record_rung w rg);
+              Printf.printf
+                "bracket %d rung %d closed: %d evaluated, %d promoted (best %.4g)\n"
+                rg.Dataset.Runlog.r_bracket rg.Dataset.Runlog.r_rung
+                rg.Dataset.Runlog.r_evaluated rg.Dataset.Runlog.r_promoted
+                rg.Dataset.Runlog.r_best
+            in
+            let fid_result =
+              with_jobs jobs (fun pool ->
+                  match existing_log with
+                  | Some log ->
+                      Hiperbot.Fidelity.resume ~telemetry ~options ~on_eval ~on_fid
+                        ~on_rung ?pool ~plan ~k ~log ~objective ~budget ()
+                  | None ->
+                      Hiperbot.Fidelity.run ~telemetry ~options ~on_eval ~on_fid ~on_rung
+                        ?pool ~plan ~k ~rng ~space ~objective ~budget ())
+            in
+            match fid_result with
+            | Stdlib.Error err ->
+                close_run ();
+                `Error
+                  ( false,
+                    Printf.sprintf
+                      "no full-fidelity evaluation completed (%d low-fidelity \
+                       evaluations spent); raise --budget or lower --fidelity"
+                      err.Hiperbot.Tuner.error_attempts )
+            | Stdlib.Ok fres ->
+                let outcome = print_tuner_result fres.Hiperbot.Fidelity.run in
+                Printf.printf
+                  "fidelity: %d brackets, %s evaluations per rung, total cost %.4g \
+                   full-fidelity-equivalents\n"
+                  fres.Hiperbot.Fidelity.n_brackets
+                  (String.concat "/"
+                     (Array.to_list
+                        (Array.map string_of_int fres.Hiperbot.Fidelity.rung_evals)))
+                  fres.Hiperbot.Fidelity.total_cost;
+                print_best outcome)
+        | `Hiperbot, _, _ -> (
+            (* The campaign engine: outcome-taxonomy objective,
+               retry policy, optional resume, sync or async. *)
+            let objective ~attempt c =
+              match fault_spec with
+              | Some fs -> Hpcsim.Faults.inject fs objective ~attempt c
+              | None -> Resilience.Outcome.Value (objective c)
+            in
+            let on_outcome i config (v : Resilience.Evaluator.verdict) =
+              to_log (fun w ->
+                  Dataset.Runlog.writer_record w (Hiperbot.Campaign.entry_of_verdict i config v));
+              match v.Resilience.Evaluator.outcome with
+              | Resilience.Outcome.Value y -> print_evaluation i config y
+              | failure ->
                   if verbose then
-                    Printf.printf "  b%d/r%d  %10.4g  %s\n" f.Dataset.Runlog.f_bracket
-                      f.Dataset.Runlog.f_rung f.Dataset.Runlog.f_value
-                      (Param.Space.to_string space f.Dataset.Runlog.f_config)
-                in
-                let on_rung (rg : Dataset.Runlog.rung) =
-                  (match writer with
-                  | Some w -> Dataset.Runlog.writer_record_rung w rg
-                  | None -> ());
-                  Printf.printf "bracket %d rung %d closed: %d evaluated, %d promoted (best %.4g)\n"
-                    rg.Dataset.Runlog.r_bracket rg.Dataset.Runlog.r_rung
-                    rg.Dataset.Runlog.r_evaluated rg.Dataset.Runlog.r_promoted
-                    rg.Dataset.Runlog.r_best
-                in
-                let fid_result =
-                  with_jobs jobs (fun pool ->
-                      match existing_log with
-                      | Some log ->
-                          Hiperbot.Fidelity.resume ~telemetry ~options ~on_eval ~on_fid ~on_rung
-                            ?pool ~plan ~k ~log ~objective:fid_objective ~budget ()
-                      | None ->
-                          Hiperbot.Fidelity.run ~telemetry ~options ~on_eval ~on_fid ~on_rung
-                            ?pool ~plan ~k ~rng ~space ~objective:fid_objective ~budget ())
-                in
+                    Printf.printf "%4d  %10s  %s\n" i
+                      (Resilience.Outcome.kind failure)
+                      (Param.Space.to_string space config)
+            in
+            let mode =
+              match async with Some k -> Hiperbot.Campaign.Async k | None -> Hiperbot.Campaign.Sync
+            in
+            let tuner_result =
+              with_jobs jobs (fun pool ->
+                  match existing_log with
+                  | Some log ->
+                      Hiperbot.Tuner.resume ~telemetry ~options ~mode ~policy ~on_outcome
+                        ~on_gate ?pool ~log ~objective ~budget ()
+                  | None ->
+                      Hiperbot.Tuner.run_with_policy ~telemetry ~options ~mode ~policy
+                        ~on_outcome ~on_gate ?pool ~rng ~space ~objective ~budget ())
+            in
+            match tuner_result with
+            | Stdlib.Error err ->
                 close_run ();
-                match fid_result with
-                | Stdlib.Error err ->
-                    `Error
-                      ( false,
-                        Printf.sprintf
-                          "no full-fidelity evaluation completed (%d low-fidelity evaluations \
-                           spent); raise --budget or lower --fidelity"
-                          err.Hiperbot.Tuner.error_attempts )
-                | Stdlib.Ok fres ->
-                    let outcome = print_tuner_result fres.Hiperbot.Fidelity.run in
-                    let rungs =
-                      String.concat "/"
-                        (Array.to_list
-                           (Array.map string_of_int fres.Hiperbot.Fidelity.rung_evals))
-                    in
-                    Printf.printf
-                      "fidelity: %d brackets, %s evaluations per rung, total cost %.4g \
-                       full-fidelity-equivalents\n"
-                      fres.Hiperbot.Fidelity.n_brackets rungs fres.Hiperbot.Fidelity.total_cost;
-                    print_best outcome
-              end
-              else if resilient then begin
-                (* Resilient path: outcome-taxonomy objective, retry
-                   policy, flush-per-entry v2 run log, optional resume,
-                   sync or async engine. *)
-                let policy = { Resilience.Policy.default with max_attempts = retries; timeout } in
-                let fault_spec =
-                  if faults > 0. then
-                    Some
-                      (Hpcsim.Faults.standard
-                         ~seed:(Option.value fault_seed ~default:(seed + 7919))
-                         ~rate:faults)
-                  else None
-                in
-                let objective ~attempt c =
-                  match fault_spec with
-                  | Some fs -> Hpcsim.Faults.inject fs objective ~attempt c
-                  | None -> Resilience.Outcome.Value (objective c)
-                in
-                let on_outcome i config (v : Resilience.Evaluator.verdict) =
-                  record i config
-                    (status_of_outcome v.Resilience.Evaluator.outcome)
-                    v.Resilience.Evaluator.attempts;
-                  match v.Resilience.Evaluator.outcome with
-                  | Resilience.Outcome.Value y -> print_evaluation i config y
-                  | failure ->
-                      if verbose then
-                        Printf.printf "%4d  %10s  %s\n" i
-                          (Resilience.Outcome.kind failure)
-                          (Param.Space.to_string space config)
-                in
-                let mode =
-                  match async with
-                  | Some k -> Hiperbot.Campaign.Async k
-                  | None -> Hiperbot.Campaign.Sync
-                in
-                let tuner_result =
-                  with_jobs jobs (fun pool ->
-                      match existing_log with
-                      | Some log ->
-                          Hiperbot.Tuner.resume ~telemetry ~options ~mode ~policy ~on_outcome
-                            ~on_gate ?pool ~log ~objective ~budget ()
-                      | None ->
-                          Hiperbot.Tuner.run_with_policy ~telemetry ~options ~mode ~policy
-                            ~on_outcome ~on_gate ?pool ~rng ~space ~objective ~budget ())
-                in
-                close_run ();
-                match tuner_result with
-                | Stdlib.Error err ->
-                    `Error
-                      ( false,
-                        Printf.sprintf
-                          "every evaluation failed (%d failures, %d attempts); no best \
-                           configuration"
-                          (Array.length err.Hiperbot.Tuner.error_failures)
-                          err.Hiperbot.Tuner.error_attempts )
-                | Stdlib.Ok result -> print_best (print_tuner_result result)
-              end
-              else begin
-                let on_evaluation i config y =
-                  record i config (Dataset.Runlog.Ok y) 1;
-                  print_evaluation i config y
-                in
-                let outcome =
-                  match method_ with
-                  | `Random -> Baselines.Random_search.run ~rng ~space ~objective ~budget ()
-                  | `Geist -> Baselines.Geist.run ~rng ~space ~objective ~budget ()
-                  | `Gp -> Baselines.Gp_tuner.run ~rng ~space ~objective ~budget ()
-                  | `Gbt -> Baselines.Gbt_tuner.run ~rng ~space ~objective ~budget ()
-                  | `Hiperbot ->
-                      print_tuner_result
-                        (with_jobs jobs (fun pool ->
-                             Hiperbot.Tuner.run ~telemetry ~options ~on_evaluation ~on_gate ?pool
-                               ~rng ~space ~objective ~budget ()))
-                in
-                close_run ();
-                print_best outcome
-              end
-        end
+                `Error
+                  ( false,
+                    Printf.sprintf
+                      "every evaluation failed (%d failures, %d attempts); no best \
+                       configuration"
+                      (Array.length err.Hiperbot.Tuner.error_failures)
+                      err.Hiperbot.Tuner.error_attempts )
+            | Stdlib.Ok result -> print_best (print_tuner_result result)))
   in
   Cmd.v
     (Cmd.info "tune" ~doc:"Run a tuner on a dataset and report the best configuration found.")
@@ -683,82 +618,70 @@ let transfer_cmd =
     Arg.(value & opt float 1.0 & info [ "w"; "weight" ] ~docv:"W" ~doc)
   in
   let run sources target seed budget weight weighting decay transfer_gate no_transfer_gate =
-    let named =
-      List.map
-        (fun s ->
-          match split_weight s with
-          | name, w when String.contains s ':' -> (name, w)
-          | name, _ -> (name, weight))
-        sources
-    in
-    let tables =
-      List.fold_left
-        (fun acc (name, w) ->
-          match (acc, find_table name) with
-          | Error e, _ -> Error e
-          | Ok _, Error e -> Error e
-          | Ok l, Ok t -> Ok ((t, w) :: l))
-        (Ok []) named
-    in
-    match (check_source_specs sources, resolve_gate transfer_gate no_transfer_gate) with
-    | Error e, _ | _, Error e -> `Error (false, e)
-    | Ok (), Ok gate -> (
-    match (tables, find_table target) with
-    | Error e, _ | _, Error e -> `Error (false, e)
-    | Ok rev_sources, Ok trgt ->
-        let src_tables = List.rev rev_sources in
+    reporting_errors (fun () ->
+        check_source_specs sources;
+        let gate = resolve_gate transfer_gate no_transfer_gate in
+        let table name = match find_table name with Ok t -> t | Error e -> failwith e in
+        let named =
+          List.map
+            (fun s ->
+              match split_weight s with
+              | name, w when String.contains s ':' -> (name, w)
+              | name, _ -> (name, weight))
+            sources
+        in
+        let src_tables = List.map (fun (name, w) -> (table name, w)) named in
+        let trgt = table target in
         let space = Dataset.Table.space trgt in
         if
           List.exists
             (fun (src, _) -> Param.Space.specs (Dataset.Table.space src) <> Param.Space.specs space)
             src_tables
-        then `Error (false, "source and target datasets have different parameter spaces")
-        else begin
-          let source_obs =
-            List.map
-              (fun (src, w) ->
-                ( Array.init (Dataset.Table.size src) (fun i ->
-                      (Dataset.Table.config src i, Dataset.Table.objective src i)),
-                  w ))
-              src_tables
-          in
-          let rng = Prng.Rng.create seed in
-          let names = Array.of_list (List.map fst named) in
-          let on_gate (g : Dataset.Runlog.gate) =
-            if g.Dataset.Runlog.g_source < 0 then
-              Printf.printf "gate: every source dropped at refit %d; continuing without priors\n"
-                g.Dataset.Runlog.g_refit
-            else
-              Printf.printf "gate: %s source %s at refit %d (trust %.3f)\n"
-                g.Dataset.Runlog.g_action
-                names.(g.Dataset.Runlog.g_source)
-                g.Dataset.Runlog.g_refit g.Dataset.Runlog.g_trust
-          in
-          let options =
-            let d = Hiperbot.Tuner.default_options in
-            {
-              d with
-              prior =
-                Some
-                  (Hiperbot.Transfer.prior ~options:d.surrogate ~weighting ~schedule:decay ~gate
-                     space source_obs);
-            }
-          in
-          let result =
-            Hiperbot.Tuner.run ~options ~on_gate ~rng ~space
-              ~objective:(Dataset.Table.objective_fn trgt) ~budget ()
-          in
-          Printf.printf "best after %d evaluations: %.4g\n"
-            (Array.length result.Hiperbot.Tuner.history)
-            result.Hiperbot.Tuner.best_value;
-          Printf.printf "  %s\n" (Param.Space.to_string space result.Hiperbot.Tuner.best_config);
-          Printf.printf "exhaustive target best: %.4g\n" (Dataset.Table.best_value trgt);
-          let good = Metrics.Recall.tolerance_good_set trgt 0.10 in
-          Printf.printf "recall at 10%% tolerance: %.3f (%d good configurations)\n"
-            (Metrics.Recall.recall good result.Hiperbot.Tuner.history)
-            good.Metrics.Recall.count;
-          `Ok ()
-        end)
+        then failwith "source and target datasets have different parameter spaces";
+        let source_obs =
+          List.map
+            (fun (src, w) ->
+              ( Array.init (Dataset.Table.size src) (fun i ->
+                    (Dataset.Table.config src i, Dataset.Table.objective src i)),
+                w ))
+            src_tables
+        in
+        let rng = Prng.Rng.create seed in
+        let names = Array.of_list (List.map fst named) in
+        let on_gate (g : Dataset.Runlog.gate) =
+          if g.Dataset.Runlog.g_source < 0 then
+            Printf.printf "gate: every source dropped at refit %d; continuing without priors\n"
+              g.Dataset.Runlog.g_refit
+          else
+            Printf.printf "gate: %s source %s at refit %d (trust %.3f)\n"
+              g.Dataset.Runlog.g_action
+              names.(g.Dataset.Runlog.g_source)
+              g.Dataset.Runlog.g_refit g.Dataset.Runlog.g_trust
+        in
+        let options =
+          let d = Hiperbot.Tuner.default_options in
+          {
+            d with
+            prior =
+              Some
+                (Hiperbot.Transfer.prior ~options:d.surrogate ~weighting ~schedule:decay ~gate
+                   space source_obs);
+          }
+        in
+        let result =
+          Hiperbot.Tuner.run ~options ~on_gate ~rng ~space
+            ~objective:(Dataset.Table.objective_fn trgt) ~budget ()
+        in
+        Printf.printf "best after %d evaluations: %.4g\n"
+          (Array.length result.Hiperbot.Tuner.history)
+          result.Hiperbot.Tuner.best_value;
+        Printf.printf "  %s\n" (Param.Space.to_string space result.Hiperbot.Tuner.best_config);
+        Printf.printf "exhaustive target best: %.4g\n" (Dataset.Table.best_value trgt);
+        let good = Metrics.Recall.tolerance_good_set trgt 0.10 in
+        Printf.printf "recall at 10%% tolerance: %.3f (%d good configurations)\n"
+          (Metrics.Recall.recall good result.Hiperbot.Tuner.history)
+          good.Metrics.Recall.count;
+        `Ok ())
   in
   Cmd.v
     (Cmd.info "transfer" ~doc:"Transfer-learn from source dataset(s) onto a target dataset.")
@@ -782,9 +705,8 @@ let tune_csv_cmd =
       close_in ic;
       s
     in
-    match Dataset.Infer.table_of_csv ~name:(Filename.basename path) text with
-    | exception Failure msg -> `Error (false, msg)
-    | table ->
+    reporting_errors (fun () ->
+        let table = Dataset.Infer.table_of_csv ~name:(Filename.basename path) text in
         let space = Dataset.Table.space table in
         Printf.printf "inferred space (%d measured rows):\n" (Dataset.Table.size table);
         Array.iter (fun spec -> Format.printf "  %a@." Param.Spec.pp spec) (Param.Space.specs space);
@@ -812,7 +734,7 @@ let tune_csv_cmd =
             Printf.printf "parameter importance: %s\n"
               (Hiperbot.Importance.to_string (Hiperbot.Importance.of_surrogate s))
         | None -> ());
-        `Ok ()
+        `Ok ())
   in
   Cmd.v
     (Cmd.info "tune-csv" ~doc:"Tune over the measured rows of a CSV study (space inferred).")
@@ -902,12 +824,7 @@ let replay_cmd =
             let n = Dataset.Runlog.count_kind log kind in
             if n > 0 then
               Printf.printf "  %s: %d\n" (Dataset.Runlog.failure_kind_to_string kind) n)
-          [
-            Dataset.Runlog.Crash;
-            Dataset.Runlog.Transient;
-            Dataset.Runlog.Permanent;
-            Dataset.Runlog.Timeout;
-          ];
+          Dataset.Runlog.failure_kinds;
         (match Dataset.Runlog.best log with
         | Some (c, y) -> Printf.printf "best: %.4g at %s\n" y (Param.Space.to_string space c)
         | None -> Printf.printf "no successful evaluation\n");

@@ -204,6 +204,8 @@ let campaign_setup ~options ~candidates ~shared_pool ~space ~budget =
   if budget < 1 then invalid_arg "Tuner.run: budget must be at least 1";
   if options.n_init < 1 then invalid_arg "Tuner.run: n_init must be at least 1";
   if options.batch_size < 1 then invalid_arg "Tuner.run: batch_size must be at least 1";
+  Surrogate.validate_options options.surrogate;
+  Strategy.validate options.strategy;
   (match options.early_stop with
   | Some k when k < 1 -> invalid_arg "Tuner.run: early_stop must be at least 1"
   | Some _ | None -> ());
@@ -302,6 +304,17 @@ let select_batch ~telemetry ~options ?workers ~encoded ~compiled ~k ~rng ~surrog
 let divergence_msg =
   "Tuner.resume: run log diverges from the replayed trajectory (were the seed, options, or \
    objective changed?)"
+
+let entry_of_verdict index config (v : Resilience.Evaluator.verdict) =
+  let status =
+    match v.Resilience.Evaluator.outcome with
+    | Resilience.Outcome.Value y -> Dataset.Runlog.Ok y
+    | Resilience.Outcome.Transient _ -> Dataset.Runlog.Failed Dataset.Runlog.Transient
+    | Resilience.Outcome.Permanent _ -> Dataset.Runlog.Failed Dataset.Runlog.Permanent
+    | Resilience.Outcome.Timeout -> Dataset.Runlog.Failed Dataset.Runlog.Timeout
+    | Resilience.Outcome.Infeasible _ -> Dataset.Runlog.Failed Dataset.Runlog.Infeasible
+  in
+  { Dataset.Runlog.index; config; status; attempts = v.Resilience.Evaluator.attempts }
 
 let replay_of_log ~policy log =
   Array.mapi

@@ -139,8 +139,10 @@ val create :
       decisions to retrace; see {!of_log} for the usual way in.
 
     Raises [Invalid_argument] on invalid options ([Async k] needs
-    [k >= 1]) — same checks and messages as the [Tuner] entry
-    points. *)
+    [k >= 1], [options.surrogate] must pass
+    {!Surrogate.validate_options}, a [Proposal] needs at least one
+    candidate) — same checks and messages as the [Tuner] entry
+    points, made before anything is drawn or evaluated. *)
 
 val suggest : ?at:float -> t -> step
 (** Advance the campaign to its next suggestion: random-init draws
@@ -258,6 +260,14 @@ val divergence_msg : string
 (** The [Failure] message raised when a replayed campaign departs
     from its record — shared with the drivers so every engine
     reports divergence identically. *)
+
+val entry_of_verdict :
+  int -> Param.Config.t -> Resilience.Evaluator.verdict -> Dataset.Runlog.entry
+(** [entry_of_verdict index config verdict] is the run-log entry that
+    records [verdict] — the inverse of {!replay_of_log}, which gives
+    back the verdict's outcome kind and attempt count. Its arguments
+    are [on_outcome]'s, so a run-log writer is
+    [fun i c v -> Dataset.Runlog.writer_record w (entry_of_verdict i c v)]. *)
 
 val replay_of_log :
   policy:Resilience.Policy.t ->

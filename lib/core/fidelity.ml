@@ -400,6 +400,7 @@ let run ?(telemetry = Telemetry.Trace.disabled) ?(options = Tuner.default_option
     ?on_eval ?on_fid ?on_rung ?(recorded_fids = [||]) ?(recorded_rungs = [||]) ?(replay = [||])
     ?pool:workers ~plan ~k ~rng ~space ~objective ~budget () =
   validate_plan plan;
+  Surrogate.validate_options options.Tuner.surrogate;
   if k < 1 then invalid_arg "Fidelity.run: k must be at least 1";
   if budget < 1 then invalid_arg "Fidelity.run: budget must be at least 1";
   if Array.length plan.costs = 1 then begin

@@ -128,22 +128,6 @@ let same_space a b =
 
 (* ---- sessions ---- *)
 
-let entry_of_verdict idx config (v : Resilience.Evaluator.verdict) =
-  let status =
-    match v.Resilience.Evaluator.outcome with
-    | Resilience.Outcome.Value y -> Dataset.Runlog.Ok y
-    | Resilience.Outcome.Transient _ -> Dataset.Runlog.Failed Dataset.Runlog.Transient
-    | Resilience.Outcome.Permanent _ -> Dataset.Runlog.Failed Dataset.Runlog.Permanent
-    | Resilience.Outcome.Timeout -> Dataset.Runlog.Failed Dataset.Runlog.Timeout
-    | Resilience.Outcome.Infeasible _ -> Dataset.Runlog.Failed Dataset.Runlog.Infeasible
-  in
-  {
-    Dataset.Runlog.index = idx;
-    config;
-    status;
-    attempts = v.Resilience.Evaluator.attempts;
-  }
-
 let session_options base ~cmd args =
   let n_init = int_arg ~cmd "n_init" args in
   let batch = int_arg ~cmd "batch" args in
@@ -173,7 +157,7 @@ let build_session t name ~options ~seed ~budget ~k ~space =
   let writer = ref None in
   let on_outcome idx config verdict =
     match !writer with
-    | Some w -> Dataset.Runlog.writer_record w (entry_of_verdict idx config verdict)
+    | Some w -> Dataset.Runlog.writer_record w (Campaign.entry_of_verdict idx config verdict)
     | None -> ()
   in
   let on_gate g =

@@ -1,5 +1,10 @@
 type t = Ranking | Proposal of { n_candidates : int }
 
+let validate = function
+  | Ranking -> ()
+  | Proposal { n_candidates } ->
+      if n_candidates <= 0 then invalid_arg "Strategy.select: non-positive candidate count"
+
 let default = Ranking
 let max_duplicate_redraws = 20
 
@@ -410,7 +415,7 @@ let select_many ?telemetry ?workers ?parallel_threshold ?encoded t ~k ~rng
       select_many_encoded ?telemetry ?workers ?parallel_threshold ~k ~surrogate
         ~encoded ~evaluated ()
   | Proposal { n_candidates } ->
-      if n_candidates <= 0 then invalid_arg "Strategy.select: non-positive candidate count";
+      validate t;
       select_many_proposal ~k ~rng ~surrogate ~evaluated ~n_candidates
 
 let select ?telemetry ?workers ?parallel_threshold ?encoded t ~rng

@@ -24,6 +24,10 @@ type t =
 val default : t
 (** [Ranking]. *)
 
+val validate : t -> unit
+(** Raises [Invalid_argument] on a [Proposal] with fewer than one
+    candidate. *)
+
 (** Bounded best-k accumulator with explicit, documented tie-breaking:
     entries are ordered by score descending, and {e equal scores are
     resolved toward the smaller index} — the pool position for Ranking

@@ -2,6 +2,10 @@ type options = { alpha : float; density : Density.options }
 
 let default_options = { alpha = 0.2; density = Density.default_options }
 
+let validate_options options =
+  if not (options.alpha > 0. && options.alpha < 1.) then
+    invalid_arg "Surrogate.fit: alpha outside (0, 1)"
+
 type t = {
   space : Param.Space.t;
   options : options;
@@ -20,8 +24,7 @@ let fit ?(telemetry = Telemetry.Trace.disabled) ?(options = default_options) ?pr
     (fun c ->
       if not (Param.Space.validate space c) then invalid_arg "Surrogate.fit: invalid configuration")
     extra_bad;
-  if not (options.alpha > 0. && options.alpha < 1.) then
-    invalid_arg "Surrogate.fit: alpha outside (0, 1)";
+  validate_options options;
   Array.iter
     (fun (c, y) ->
       if not (Param.Space.validate space c) then invalid_arg "Surrogate.fit: invalid configuration";

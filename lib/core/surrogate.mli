@@ -14,6 +14,10 @@ type options = {
 
 val default_options : options
 
+val validate_options : options -> unit
+(** Raises [Invalid_argument] (with {!fit}'s message) unless [alpha]
+    lies in (0, 1); NaN is rejected. *)
+
 type t
 
 val fit :

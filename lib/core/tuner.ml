@@ -170,6 +170,7 @@ let run_with_policy ?(telemetry = Telemetry.Trace.disabled) ?options ?(mode = Ca
     ?(policy = Resilience.Policy.default) ?warm_start ?candidates ?on_outcome ?on_gate
     ?recorded_gates ?replay ?pool ?(duration = default_duration) ~rng ~space ~objective ~budget
     () =
+  Resilience.Policy.validate policy;
   let campaign =
     Campaign.create ~telemetry ?options ?warm_start ?candidates ?on_outcome ?on_gate
       ?recorded_gates ?replay ?pool ~mode ~rng ~space ~budget ()
@@ -181,6 +182,7 @@ let run_with_policy ?(telemetry = Telemetry.Trace.disabled) ?options ?(mode = Ca
 
 let resume ?telemetry ?options ?mode ?(policy = Resilience.Policy.default) ?warm_start
     ?candidates ?on_outcome ?on_gate ?pool ?duration ~log ~objective ~budget () =
+  Resilience.Policy.validate policy;
   let replay = Campaign.replay_of_log ~policy log in
   if Array.length replay > budget then
     invalid_arg "Tuner.resume: budget is smaller than the recorded evaluation count";

@@ -197,7 +197,9 @@ val run_with_policy :
     budget) is recorded as a failure and the batch completes.
     [on_outcome i config verdict] fires once per consumed budget unit
     with the final verdict. With [telemetry] enabled, every retry
-    attempt additionally emits an [Attempt] event. When every
+    attempt additionally emits an [Attempt] event. An invalid
+    [policy] ({!Resilience.Policy.validate}) raises [Invalid_argument]
+    before anything is evaluated. When every
     evaluation failed the run returns [Error] with the structured
     failure report instead of raising. An [option]-valued objective
     plugs in through {!Resilience.Outcome.of_option} ([None] is

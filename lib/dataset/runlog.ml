@@ -1,5 +1,7 @@
 type failure_kind = Crash | Transient | Permanent | Timeout | Infeasible
 type status = Ok of float | Failed of failure_kind
+
+let failure_kinds = [ Crash; Transient; Permanent; Timeout; Infeasible ]
 type entry = { index : int; config : Param.Config.t; status : status; attempts : int }
 
 type gate = { g_refit : int; g_source : int; g_action : string; g_trust : float; g_below : int }

@@ -34,6 +34,9 @@ type failure_kind =
   | Timeout
   | Infeasible  (** hard-constraint violation; consumes budget, never retried *)
 
+val failure_kinds : failure_kind list
+(** Every failure kind, in declaration order. *)
+
 type status = Ok of float | Failed of failure_kind
 
 type entry = {

@@ -15,7 +15,7 @@ type spec = {
 let none = { seed = 0; transient = 0.; permanent = 0.; straggler = 0.; slowdown = 1. }
 
 let standard ~seed ~rate =
-  if rate < 0. || rate > 1. then invalid_arg "Faults.standard: rate must be in [0, 1]";
+  if not (rate >= 0. && rate <= 1.) then invalid_arg "Faults.standard: rate must be in [0, 1]";
   {
     seed;
     transient = rate;
@@ -26,7 +26,7 @@ let standard ~seed ~rate =
 
 let validate s =
   let check_rate label r =
-    if r < 0. || r > 1. then invalid_arg (Printf.sprintf "Faults: %s rate must be in [0, 1]" label)
+    if not (r >= 0. && r <= 1.) then invalid_arg (Printf.sprintf "Faults: %s rate must be in [0, 1]" label)
   in
   check_rate "transient" s.transient;
   check_rate "permanent" s.permanent;

@@ -14,7 +14,7 @@ let validate t =
   if t.backoff_factor < 0. then
     invalid_arg "Resilience.Policy: backoff_factor must be non-negative";
   match t.timeout with
-  | Some budget when budget <= 0. -> invalid_arg "Resilience.Policy: timeout must be positive"
+  | Some budget when not (budget > 0.) -> invalid_arg "Resilience.Policy: timeout must be positive"
   | Some _ | None -> ()
 
 let backoff t ~attempt =

@@ -29,13 +29,6 @@ let hash_objective c = float_of_int ((Param.Config.hash c land 0xFFFF) + 1)
 
 let policy3 = { Resilience.Policy.default with max_attempts = 3 }
 
-let status_of_outcome = function
-  | Resilience.Outcome.Value y -> Dataset.Runlog.Ok y
-  | Resilience.Outcome.Transient _ -> Dataset.Runlog.Failed Dataset.Runlog.Transient
-  | Resilience.Outcome.Permanent _ -> Dataset.Runlog.Failed Dataset.Runlog.Permanent
-  | Resilience.Outcome.Timeout -> Dataset.Runlog.Failed Dataset.Runlog.Timeout
-  | Resilience.Outcome.Infeasible _ -> Dataset.Runlog.Failed Dataset.Runlog.Infeasible
-
 (* Bit-for-bit comparison of two tuner results, failure lists and
    retry accounting included. *)
 let results_identical (a : Hiperbot.Tuner.result) (b : Hiperbot.Tuner.result) =

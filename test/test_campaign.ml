@@ -207,13 +207,7 @@ let prop_resume_any_cut =
       let cut = cut_num mod (List.length recorded + 1) in
       let entries =
         List.filteri (fun i _ -> i < cut) recorded
-        |> List.map (fun (i, c, (v : Resilience.Evaluator.verdict)) ->
-               {
-                 Dataset.Runlog.index = i;
-                 config = c;
-                 status = Gen.status_of_outcome v.Resilience.Evaluator.outcome;
-                 attempts = v.Resilience.Evaluator.attempts;
-               })
+        |> List.map (fun (i, c, v) -> Hiperbot.Campaign.entry_of_verdict i c v)
       in
       let log = Dataset.Runlog.create ~name:"cut" ~seed ~space entries in
       let campaign =
@@ -442,6 +436,104 @@ let test_shared_pool_concurrent () =
         (run_outcomes_identical (isolated seed) shared.(i)))
     seeds
 
+(* ---- fail fast: invalid input raises before anything is evaluated ---- *)
+
+let test_fail_fast () =
+  let calls = ref 0 in
+  let objective c =
+    incr calls;
+    Gen.cat_ord_objective c
+  in
+  let outcome_objective ~attempt:_ c = Resilience.Outcome.Value (objective c) in
+  let space = Gen.cat_ord_space and budget = 8 in
+  let rng () = Prng.Rng.create 3 in
+  (* [f telemetry] must raise before the campaign starts: no objective
+     call and no trace event, not even [Campaign_start]. *)
+  let unevaluated label f =
+    calls := 0;
+    let sink, events = Telemetry.Trace.memory_sink () in
+    check Alcotest.bool (label ^ ": raises Invalid_argument") true
+      (rejects (fun () -> f (Telemetry.Trace.make [ sink ])));
+    check Alcotest.int (label ^ ": objective never called") 0 !calls;
+    check Alcotest.int (label ^ ": no trace event") 0 (List.length (events ()))
+  in
+  let base = { Hiperbot.Tuner.default_options with n_init = 4 } in
+  let with_alpha alpha =
+    { base with surrogate = { Hiperbot.Surrogate.default_options with alpha } }
+  in
+  List.iter
+    (fun (label, options) ->
+      unevaluated ("run, " ^ label) (fun telemetry ->
+          Hiperbot.Tuner.run ~telemetry ~options ~rng:(rng ()) ~space ~objective ~budget ());
+      unevaluated ("async, " ^ label) (fun telemetry ->
+          Hiperbot.Tuner.run_with_policy ~telemetry ~options ~mode:(Hiperbot.Campaign.Async 2) ~rng:(rng ())
+            ~space ~objective:outcome_objective ~budget ());
+      unevaluated ("fidelity, " ^ label) (fun telemetry ->
+          Hiperbot.Fidelity.run ~telemetry ~options ~plan:Hiperbot.Fidelity.default_plan ~k:1 ~rng:(rng ())
+            ~space ~objective:(fun ~rung:_ c -> objective c) ~budget ()))
+    [
+      ("alpha 1.5", with_alpha 1.5);
+      ("alpha 0", with_alpha 0.);
+      ("alpha nan", with_alpha Float.nan);
+      ("proposal 0", { base with strategy = Hiperbot.Strategy.Proposal { n_candidates = 0 } });
+    ];
+  let log =
+    Dataset.Runlog.create ~name:"fail-fast" ~seed:3 ~space
+      [
+        Hiperbot.Campaign.entry_of_verdict 0
+          (Param.Space.random_config space (rng ()))
+          { Resilience.Evaluator.outcome = Resilience.Outcome.Timeout; attempts = 2; retry_cost = 0. };
+      ]
+  in
+  List.iter
+    (fun (label, policy) ->
+      unevaluated ("run_with_policy, " ^ label) (fun telemetry ->
+          Hiperbot.Tuner.run_with_policy ~telemetry ~policy ~rng:(rng ()) ~space ~objective:outcome_objective
+            ~budget ());
+      unevaluated ("resume, " ^ label) (fun telemetry ->
+          Hiperbot.Tuner.resume ~telemetry ~policy ~log ~objective:outcome_objective ~budget ()))
+    [
+      ("max_attempts 0", { Resilience.Policy.default with max_attempts = 0 });
+      ("timeout 0", { Resilience.Policy.default with timeout = Some 0. });
+      ("timeout nan", { Resilience.Policy.default with timeout = Some Float.nan });
+    ]
+
+(* ---- the run-log entry codec ---- *)
+
+(* [replay_of_log] inverts [entry_of_verdict]: every outcome kind and
+   attempt count survives the trip through a run-log entry. *)
+let prop_entry_codec =
+  QCheck2.Test.make ~name:"entry_of_verdict / replay_of_log round trip" ~count:100
+    ~print:(fun (seed, attempts, y) -> Printf.sprintf "seed %d, attempts %d, value %h" seed attempts y)
+    QCheck2.Gen.(triple (int_bound 10_000) (int_range 1 8) (float_range (-1e6) 1e6))
+    (fun (seed, attempts, y) ->
+      let space = Gen.cat_ord_space in
+      let config = Param.Space.random_config space (Prng.Rng.create seed) in
+      List.for_all
+        (fun outcome ->
+          let verdict = { Resilience.Evaluator.outcome; attempts; retry_cost = 0. } in
+          let log =
+            Dataset.Runlog.create ~name:"codec" ~seed ~space
+              [ Hiperbot.Campaign.entry_of_verdict 0 config verdict ]
+          in
+          match Hiperbot.Campaign.replay_of_log ~policy:policy3 log with
+          | [| (c, v) |] ->
+              Param.Config.equal c config
+              && Resilience.Outcome.kind v.Resilience.Evaluator.outcome
+                 = Resilience.Outcome.kind outcome
+              && v.Resilience.Evaluator.attempts = attempts
+              && (match (outcome, v.Resilience.Evaluator.outcome) with
+                 | Resilience.Outcome.Value a, Resilience.Outcome.Value b -> Float.equal a b
+                 | _ -> true)
+          | _ -> false)
+        [
+          Resilience.Outcome.Value y;
+          Resilience.Outcome.Transient "t";
+          Resilience.Outcome.Permanent "p";
+          Resilience.Outcome.Timeout;
+          Resilience.Outcome.Infeasible "i";
+        ])
+
 let suite =
   ( "campaign",
     [
@@ -453,6 +545,8 @@ let suite =
       Alcotest.test_case "interleaved campaigns are isolated" `Quick
         test_interleaved_campaigns;
       Alcotest.test_case "shared pool across domains" `Quick test_shared_pool_concurrent;
+      Alcotest.test_case "invalid input raises before any evaluation" `Quick test_fail_fast;
+      QCheck_alcotest.to_alcotest prop_entry_codec;
       QCheck_alcotest.to_alcotest prop_sync_conformance;
       QCheck_alcotest.to_alcotest (prop_async_conformance 1);
       QCheck_alcotest.to_alcotest (prop_async_conformance 4);

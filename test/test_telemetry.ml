@@ -268,8 +268,6 @@ let test_kripke_campaign_trace () =
 
 (* ---- resume with tracing is still bit-identical ---- *)
 
-let status_of_outcome = Gen.status_of_outcome
-
 let test_resume_with_trace_parity () =
   let t = (Hpcsim.Registry.find "kripke").Hpcsim.Registry.table () in
   let space = Dataset.Table.space t in
@@ -290,13 +288,7 @@ let test_resume_with_trace_parity () =
   let entries =
     List.rev !recorded
     |> List.filteri (fun i _ -> i < interrupt_after)
-    |> List.map (fun (i, c, (v : Resilience.Evaluator.verdict)) ->
-           {
-             Dataset.Runlog.index = i;
-             config = c;
-             status = status_of_outcome v.Resilience.Evaluator.outcome;
-             attempts = v.Resilience.Evaluator.attempts;
-           })
+    |> List.map (fun (i, c, v) -> Hiperbot.Campaign.entry_of_verdict i c v)
   in
   let log = Dataset.Runlog.create ~name:"kripke" ~seed:5 ~space entries in
   let sink, collected = Telemetry.Trace.memory_sink () in
